@@ -70,6 +70,7 @@ MeResult me_on_threads(int n, std::uint64_t seed) {
   MeResult result;
   result.all_served = rt.run([&grants, n] { return grants.load() >= n; }, 60s);
   const auto elapsed = std::chrono::steady_clock::now() - start;
+  rt.shutdown();  // the CS body touches this frame's counters
   result.wall_ms =
       std::chrono::duration<double, std::milli>(elapsed).count();
   result.peak_occupancy = peak.load();

@@ -191,6 +191,7 @@ int main(int argc, char** argv) {
       std::chrono::milliseconds(
           static_cast<std::int64_t>(seconds * 2'000) + 30'000));
   inj.stop();
+  rt.shutdown();
   const double wall_s = ms_between(start, Clock::now()) / 1e3;
   const double storm_s =
       storm_end_stamped ? ms_between(start, storm_end) / 1e3 : wall_s;

@@ -10,11 +10,13 @@
 //   2. the ThreadRuntime (one OS thread per process, codec-encoded
 //      mailboxes, genuine concurrency), and
 //   3. the SocketRuntime (real UDP datagrams over the loopback
-//      interface — every message crosses the kernel as a framed packet).
+//      interface — every message crosses the kernel as a framed packet),
+// then checks that all three produced the same answers (exit 1 if not).
 //
 // Build & run:  ./examples/example_service_client
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/socket_runtime.hpp"
@@ -38,9 +40,20 @@ svc::HostConfig host_config(int p) {
   return cfg;
 }
 
+// What the client program learned: the leader and rank each node elected,
+// and the two broadcast values.
+struct Transcript {
+  std::vector<std::int64_t> leaders;
+  std::vector<int> ranks;
+  Value hello;
+  Value world;
+
+  bool operator==(const Transcript&) const = default;
+};
+
 // The client program — written once against the backend-neutral Client.
 template <typename Backend>
-bool client_program(Backend& backend, const char* label) {
+std::optional<Transcript> client_program(Backend& backend, const char* label) {
   std::printf("--- %s ---\n", label);
   svc::Client client(backend);
 
@@ -60,17 +73,21 @@ bool client_program(Backend& backend, const char* label) {
 
   if (!client.run_until(sessions)) {
     std::printf("ERROR: sessions did not complete\n");
-    return false;
+    return std::nullopt;
   }
+  Transcript t;
   for (int p = 0; p < kN; ++p) {
     const auto r = client.result(sessions[2 + static_cast<std::size_t>(p)]);
     std::printf("node %d: leader=%lld rank=%d\n", p,
                 static_cast<long long>(r.min_id), r.rank);
+    t.leaders.push_back(r.min_id);
+    t.ranks.push_back(r.rank);
   }
+  t.hello = client.result(hello).value;
+  t.world = client.result(world).value;
   std::printf("broadcasts: '%s', '%s' — both Done\n\n",
-              client.result(hello).value.to_string().c_str(),
-              client.result(world).value.to_string().c_str());
-  return true;
+              t.hello.to_string().c_str(), t.world.to_string().c_str());
+  return t;
 }
 
 }  // namespace
@@ -83,7 +100,8 @@ int main() {
   for (int p = 0; p < kN; ++p)
     world.add_process(std::make_unique<svc::ServiceHost>(host_config(p)));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(7));
-  if (!client_program(world, "Simulator (deterministic)")) return 1;
+  const auto on_sim = client_program(world, "Simulator (deterministic)");
+  if (!on_sim) return 1;
   std::printf("simulator finished in %llu steps\n\n",
               static_cast<unsigned long long>(world.step_count()));
 
@@ -91,20 +109,28 @@ int main() {
   runtime::ThreadRuntime rt(kN, {.seed = 2026});
   for (int p = 0; p < kN; ++p)
     rt.add_process(std::make_unique<svc::ServiceHost>(host_config(p)));
-  if (!client_program(rt, "ThreadRuntime (one thread per process)")) return 1;
+  const auto on_mailbox =
+      client_program(rt, "ThreadRuntime (one thread per process)");
+  rt.shutdown();
+  if (!on_mailbox) return 1;
 
   // Backend 3: the real-wire runtime — same hosts, same program, but every
   // message is a UDP datagram through the kernel's loopback stack.
   net::SocketRuntime srt(kN, {.seed = 2026});
   for (int p = 0; p < kN; ++p)
     srt.add_process(std::make_unique<svc::ServiceHost>(host_config(p)));
-  if (!client_program(srt, "SocketRuntime (UDP loopback)")) return 1;
+  const auto on_udp = client_program(srt, "SocketRuntime (UDP loopback)");
   srt.shutdown();
+  if (!on_udp) return 1;
   const auto stats = srt.wire_stats();
   std::printf("socket runtime: %llu datagrams sent, %llu delivered\n\n",
               static_cast<unsigned long long>(stats.datagrams_sent),
               static_cast<unsigned long long>(stats.delivered));
 
+  if (!(*on_mailbox == *on_sim) || !(*on_udp == *on_sim)) {
+    std::printf("MISMATCH: the backends disagree on the outcomes.\n");
+    return 1;
+  }
   std::printf("same client code, same sessions, same answers.\n");
   return 0;
 }

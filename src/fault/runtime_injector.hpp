@@ -2,18 +2,17 @@
 //
 // The live-runtime counterpart of fault::Injector: a dedicated injection
 // thread maps the plan's step-clock window spans onto wall time (one step =
-// `step_duration`) and applies the same effects against real concurrency.
-// Two targets share the schedule machinery:
-//   * ThreadRuntime — crash-restart through with_process (under the node
-//     lock), channel garbage/loss/duplication/partition wipes against the
-//     internally synchronized mailboxes;
-//   * SocketRuntime — the same crash path for hosted nodes plus
-//     SIGKILL-based process crash for nodes registered as living in another
-//     OS process (set_node_pid), garbage bursts as real datagrams through
-//     inject_datagram (framed random messages and raw noise), and
-//     loss/duplication/LinkDown/partition as the runtime's socket-level
-//     per-edge filter between recv and dispatch — rates armed when a window
-//     opens, re-asserted every poll, cleared when it closes.
+// `step_duration`) and applies the same effects against real concurrency,
+// through the transport-neutral surface of live::Runtime:
+//   * CrashRestart — a hosted node is re-scrambled under its node lock
+//     (with_process) every poll of the window; a node registered as living
+//     in another OS process (set_node_pid) gets a real SIGKILL when the
+//     window opens;
+//   * ChannelGarbage — random messages put into the edge through the
+//     transport's inject();
+//   * EdgeLoss / EdgeDuplicate / LinkDown / LinkPartition — the runtime's
+//     receive-side per-edge filter: rates armed when a window opens,
+//     re-asserted every poll, cleared when it closes.
 // Unlike the simulator path this is NOT replayable bit-for-bit (the whole
 // runtime is racy by design); what it preserves is the fault *schedule* and
 // the recovery contract under test: after stop() the fault has ceased and
@@ -28,12 +27,10 @@
 #include <cstdint>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "fault/plan.hpp"
-#include "net/socket_runtime.hpp"
-#include "runtime/thread_runtime.hpp"
+#include "live/runtime.hpp"
 
 namespace snapstab::fault {
 
@@ -46,18 +43,16 @@ struct RuntimeInjectorOptions {
 
 class RuntimeInjector {
  public:
-  RuntimeInjector(const FaultPlan& plan, runtime::ThreadRuntime& rt,
-                  RuntimeInjectorOptions options = {});
-  RuntimeInjector(const FaultPlan& plan, net::SocketRuntime& srt,
+  RuntimeInjector(const FaultPlan& plan, live::Runtime& rt,
                   RuntimeInjectorOptions options = {});
   ~RuntimeInjector();  // stops and joins
 
   RuntimeInjector(const RuntimeInjector&) = delete;
   RuntimeInjector& operator=(const RuntimeInjector&) = delete;
 
-  // Socket mode, multi-process: declares that node `node` lives in OS
-  // process `pid`. A CrashRestart window targeting it delivers a real
-  // SIGKILL when it opens (once per opening). Call before start().
+  // Multi-process: declares that node `node` lives in OS process `pid`. A
+  // CrashRestart window targeting it delivers a real SIGKILL when it opens
+  // (once per opening). Call before start().
   void set_node_pid(int node, ::pid_t pid);
 
   // Spawns the injection thread; the plan's step 0 is "now".
@@ -72,27 +67,26 @@ class RuntimeInjector {
   struct Counters {
     std::uint64_t crashes = 0;
     std::uint64_t garbage_bursts = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t partition_wipes = 0;
-    std::uint64_t down_wipes = 0;
-    std::uint64_t process_kills = 0;  // socket mode: SIGKILLs delivered
+    std::uint64_t drops = 0;            // EdgeLoss windows opened
+    std::uint64_t duplicates = 0;       // EdgeDuplicate windows opened
+    std::uint64_t partition_wipes = 0;  // edges cut by opened partitions
+    std::uint64_t down_wipes = 0;       // LinkDown windows opened
+    std::uint64_t process_kills = 0;    // SIGKILLs delivered
   };
   // Stable only after stop().
   const Counters& counters() const noexcept { return counters_; }
 
  private:
+  // A window opening, held open (re-asserted every poll), or closing.
+  enum class Phase : std::uint8_t { Open, Hold, Close };
+
   void thread_main();
-  void apply_window(const FaultWindow& w, bool opening);
-  void close_window(const FaultWindow& w);
-  void apply_window_socket(const FaultWindow& w, bool opening);
+  void apply_window(const FaultWindow& w, Phase phase);
   void crash(sim::ProcessId p);
-  void garbage_fill(sim::EdgeId e);
-  void garbage_datagrams(sim::EdgeId e);
+  void garbage(sim::EdgeId e);
 
   const FaultPlan* plan_;
-  runtime::ThreadRuntime* rt_ = nullptr;
-  net::SocketRuntime* srt_ = nullptr;
+  live::Runtime* rt_;
   RuntimeInjectorOptions options_;
   Rng rng_;
   std::unordered_map<int, ::pid_t> node_pids_;

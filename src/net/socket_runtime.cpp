@@ -6,8 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
 #include "common/check.hpp"
 
@@ -36,154 +34,105 @@ int bind_udp(std::uint16_t port, std::uint16_t* bound) {
   return fd;
 }
 
-}  // namespace
-
-// Context backend bound to one hosted node. Only used by the owning
-// thread while it holds the node mutex (same discipline as the
-// ThreadRuntime's NodeContext).
-class SocketRuntime::NodeContext final : public sim::ContextBackend {
- public:
-  NodeContext(SocketRuntime& rt, Node& node) : rt_(rt), node_(node) {}
-
-  int degree() const override { return rt_.topology_.degree(node_.id); }
-
-  bool send(int channel_index, const Message& m) override {
-    const sim::EdgeId e = rt_.topology_.out_edge(node_.id, channel_index);
-    return rt_.send_frame(node_, e, m);
-  }
-
-  void observe(sim::Layer layer, sim::ObsKind kind, int peer,
-               const Value& value) override {
-    const std::uint64_t step =
-        rt_.event_counter_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(rt_.log_mu_);
-    rt_.log_.push_back(
-        sim::Observation{step, node_.id, layer, kind, peer, value});
-  }
-
-  Rng& rng() override { return node_.rng; }
-
-  std::uint64_t now() const override {
-    return rt_.event_counter_.load(std::memory_order_relaxed);
-  }
-
- private:
-  SocketRuntime& rt_;
-  Node& node_;
-};
-
-SocketRuntime::SocketRuntime(sim::Topology topology,
-                             SocketRuntimeOptions options)
-    : topology_(std::move(topology)),
-      n_(topology_.process_count()),
-      options_(std::move(options)),
-      pool_(&current_string_pool()) {
-  SNAPSTAB_CHECK_MSG(topology_.connected(),
-                     "the model requires a connected network");
+// The nodes this OS process hosts, ascending, after validating the
+// hosting options against the topology size.
+std::vector<int> hosted_nodes(int n, const SocketRuntimeOptions& options) {
   SNAPSTAB_CHECK_MSG(
-      options_.ports.empty() ||
-          options_.ports.size() == static_cast<std::size_t>(n_),
+      options.ports.empty() ||
+          options.ports.size() == static_cast<std::size_t>(n),
       "ports must name one UDP port per node");
-
-  std::vector<int> hosted = options_.local_nodes;
+  std::vector<int> hosted = options.local_nodes;
   if (hosted.empty())
-    for (int i = 0; i < n_; ++i) hosted.push_back(i);
+    for (int i = 0; i < n; ++i) hosted.push_back(i);
   std::sort(hosted.begin(), hosted.end());
   SNAPSTAB_CHECK_MSG(
       std::adjacent_find(hosted.begin(), hosted.end()) == hosted.end(),
       "duplicate node in local_nodes");
   SNAPSTAB_CHECK_MSG(
-      hosted.size() == static_cast<std::size_t>(n_) || !options_.ports.empty(),
+      hosted.size() == static_cast<std::size_t>(n) || !options.ports.empty(),
       "hosting a node subset requires an explicit per-node port table");
+  return hosted;
+}
 
-  local_slot_.assign(static_cast<std::size_t>(n_), -1);
-  port_table_.assign(static_cast<std::size_t>(n_), 0);
-  for (int i = 0; i < n_; ++i)
-    if (!options_.ports.empty())
-      port_table_[static_cast<std::size_t>(i)] =
-          options_.ports[static_cast<std::size_t>(i)];
+}  // namespace
 
-  Rng seeder(options_.seed);
-  locals_.reserve(hosted.size());
-  for (const int p : hosted) {
-    SNAPSTAB_CHECK(p >= 0 && p < n_);
-    auto node = std::make_unique<Node>();
-    node->id = p;
-    node->rng = seeder.fork(static_cast<std::uint64_t>(p) + 1);
-    node->filter_rng =
-        Rng(options_.seed ^ 0x50CE7F17ull).fork(static_cast<std::uint64_t>(p));
-    std::uint16_t bound = 0;
-    node->fd = bind_udp(port_table_[static_cast<std::size_t>(p)], &bound);
-    port_table_[static_cast<std::size_t>(p)] = bound;
-    local_slot_[static_cast<std::size_t>(p)] =
-        static_cast<int>(locals_.size());
-    locals_.push_back(std::move(node));
+SocketRuntime::SocketRuntime(const sim::Topology& topology,
+                             const SocketRuntimeOptions& options)
+    : live::Runtime(topology, options.seed, options.loss_rate,
+                    hosted_nodes(topology.process_count(), options)) {
+  const auto n = static_cast<std::size_t>(process_count());
+  port_table_ = options.ports;
+  port_table_.resize(n, 0);
+  sockets_.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    if (!hosts(static_cast<int>(p))) continue;
+    sockets_[p].fd = bind_udp(port_table_[p], &port_table_[p]);
+    sockets_[p].buf.resize(kMaxDatagramSize);
   }
-
-  edge_faults_ = std::make_unique<EdgeFault[]>(
-      static_cast<std::size_t>(topology_.edge_count()));
-
   inject_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   SNAPSTAB_CHECK_MSG(inject_fd_ >= 0, "cannot open the injection socket");
 }
 
-SocketRuntime::SocketRuntime(int process_count, SocketRuntimeOptions options)
-    : SocketRuntime(sim::Topology::complete(process_count),
-                    std::move(options)) {}
+SocketRuntime::SocketRuntime(int process_count,
+                             const SocketRuntimeOptions& options)
+    : SocketRuntime(sim::Topology::complete(process_count), options) {}
 
 SocketRuntime::~SocketRuntime() {
   shutdown();
-  for (auto& node : locals_)
-    if (node->fd >= 0) ::close(node->fd);
+  for (const Socket& s : sockets_)
+    if (s.fd >= 0) ::close(s.fd);
   if (inject_fd_ >= 0) ::close(inject_fd_);
 }
 
-bool SocketRuntime::hosts(int node) const noexcept {
-  return node >= 0 && node < n_ &&
-         local_slot_[static_cast<std::size_t>(node)] >= 0;
-}
-
 std::uint16_t SocketRuntime::port_of(int node) const {
-  SNAPSTAB_CHECK(node >= 0 && node < n_);
+  SNAPSTAB_CHECK(node >= 0 && node < process_count());
   const std::uint16_t port = port_table_[static_cast<std::size_t>(node)];
   SNAPSTAB_CHECK_MSG(port != 0, "no port known for a remote node");
   return port;
 }
 
-SocketRuntime::Node& SocketRuntime::local(int p) {
-  SNAPSTAB_CHECK_MSG(hosts(p), "node is not hosted by this process");
-  return *locals_[static_cast<std::size_t>(
-      local_slot_[static_cast<std::size_t>(p)])];
-}
-
-void SocketRuntime::add_process(std::unique_ptr<sim::Process> p) {
-  SNAPSTAB_CHECK(p != nullptr);
-  for (auto& node : locals_) {
-    if (node->process == nullptr) {
-      node->process = std::move(p);
-      return;
-    }
-  }
-  SNAPSTAB_CHECK_MSG(false, "more processes than hosted nodes");
-}
-
-bool SocketRuntime::send_frame(Node& node, sim::EdgeId e, const Message& m) {
-  const int dst = topology_.edge_dst(e);
+bool SocketRuntime::send(int node, sim::EdgeId e, const Message& m) {
+  const int dst = topology().edge_dst(e);
   const std::uint16_t port = port_table_[static_cast<std::size_t>(dst)];
   if (port == 0) return false;  // remote node with no known port
-  const std::vector<std::uint8_t> frame = encode_frame(e, m, *pool_);
+  const std::vector<std::uint8_t> frame = encode_frame(e, m, string_pool());
   const sockaddr_in addr = loopback_addr(port);
   const ssize_t sent =
-      ::sendto(node.fd, frame.data(), frame.size(), 0,
-               reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+      ::sendto(sockets_[static_cast<std::size_t>(node)].fd, frame.data(),
+               frame.size(), 0, reinterpret_cast<const sockaddr*>(&addr),
+               sizeof addr);
   if (sent != static_cast<ssize_t>(frame.size())) return false;
-  stats_.datagrams_sent.fetch_add(1, std::memory_order_relaxed);
+  datagrams_sent_.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+SocketRuntime::Inbound SocketRuntime::receive(int node, int /*k*/) {
+  Inbound in;
+  Socket& s = sockets_[static_cast<std::size_t>(node)];
+  const ssize_t r = ::recv(s.fd, s.buf.data(), s.buf.size(), MSG_DONTWAIT);
+  if (r < 0) {  // EAGAIN: nothing pending (or a transient error)
+    in.more = false;
+    return in;
+  }
+  datagrams_received_.fetch_add(1, std::memory_order_relaxed);
+  const DecodedFrame frame =
+      decode_frame(s.buf.data(), static_cast<std::size_t>(r), string_pool());
+  by_result_[static_cast<std::size_t>(frame.result)].fetch_add(
+      1, std::memory_order_relaxed);
+  if (!frame.ok()) return in;  // counted and dropped, never delivered
+  if (frame.edge < 0 || frame.edge >= topology().edge_count() ||
+      topology().edge_dst(frame.edge) != node) {
+    bad_edge_.fetch_add(1, std::memory_order_relaxed);
+    return in;
+  }
+  in.edge = frame.edge;
+  in.message = frame.message;
+  return in;
 }
 
 bool SocketRuntime::inject_datagram(int dst_node, const void* data,
                                     std::size_t size) {
-  SNAPSTAB_CHECK(dst_node >= 0 && dst_node < n_);
+  SNAPSTAB_CHECK(dst_node >= 0 && dst_node < process_count());
   const std::uint16_t port = port_table_[static_cast<std::size_t>(dst_node)];
   if (port == 0) return false;
   const sockaddr_in addr = loopback_addr(port);
@@ -193,163 +142,28 @@ bool SocketRuntime::inject_datagram(int dst_node, const void* data,
                   sizeof addr) == static_cast<ssize_t>(size);
 }
 
-void SocketRuntime::set_edge_drop(sim::EdgeId e, double rate) {
-  SNAPSTAB_CHECK(e >= 0 && e < topology_.edge_count());
-  edge_faults_[static_cast<std::size_t>(e)].drop.store(
-      rate, std::memory_order_relaxed);
-}
-
-void SocketRuntime::set_edge_duplicate(sim::EdgeId e, double rate) {
-  SNAPSTAB_CHECK(e >= 0 && e < topology_.edge_count());
-  edge_faults_[static_cast<std::size_t>(e)].duplicate.store(
-      rate, std::memory_order_relaxed);
-}
-
-void SocketRuntime::set_edge_down(sim::EdgeId e, bool down) {
-  SNAPSTAB_CHECK(e >= 0 && e < topology_.edge_count());
-  edge_faults_[static_cast<std::size_t>(e)].down.store(
-      down, std::memory_order_relaxed);
-}
-
-void SocketRuntime::clear_edge_faults() {
-  for (int e = 0; e < topology_.edge_count(); ++e) {
-    auto& f = edge_faults_[static_cast<std::size_t>(e)];
-    f.drop.store(0.0, std::memory_order_relaxed);
-    f.duplicate.store(0.0, std::memory_order_relaxed);
-    f.down.store(false, std::memory_order_relaxed);
-  }
-}
-
-void SocketRuntime::thread_main(Node& node) {
-  // Every node thread interns into the runtime's shared pool, exactly
-  // like the ThreadRuntime's node threads.
-  ScopedStringPool pool_scope(*pool_);
-  NodeContext backend(*this, node);
-  sim::Context ctx(backend);
-  std::vector<std::uint8_t> buf(kMaxDatagramSize);
-  const int degree = topology_.degree(node.id);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard<std::mutex> lock(node.mu);
-      sim::Process& proc = *node.process;
-      // Budget one datagram per incident channel per activation (the
-      // ThreadRuntime's drain rule); a busy process receives nothing and
-      // the kernel socket buffer holds the backlog.
-      if (!proc.busy()) {
-        for (int k = 0; k < degree && !proc.busy(); ++k) {
-          const ssize_t r =
-              ::recv(node.fd, buf.data(), buf.size(), MSG_DONTWAIT);
-          if (r < 0) break;  // EAGAIN: nothing pending (or a transient error)
-          stats_.datagrams_received.fetch_add(1, std::memory_order_relaxed);
-          const DecodedFrame frame =
-              decode_frame(buf.data(), static_cast<std::size_t>(r), *pool_);
-          stats_.by_result[static_cast<std::size_t>(frame.result)].fetch_add(
-              1, std::memory_order_relaxed);
-          if (!frame.ok()) continue;  // counted and dropped, never delivered
-          if (frame.edge < 0 || frame.edge >= topology_.edge_count() ||
-              topology_.edge_dst(frame.edge) != node.id) {
-            stats_.bad_edge.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          // The socket-level fault filter: between recv and dispatch.
-          const auto& fault =
-              edge_faults_[static_cast<std::size_t>(frame.edge)];
-          if (fault.down.load(std::memory_order_relaxed)) {
-            stats_.down_drops.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          if (options_.loss_rate > 0.0 &&
-              node.filter_rng.chance(options_.loss_rate)) {
-            stats_.loss_drops.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          const double drop = fault.drop.load(std::memory_order_relaxed);
-          if (drop > 0.0 && node.filter_rng.chance(drop)) {
-            stats_.filter_drops.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          const int ch = topology_.edge_index_at_dst(frame.edge);
-          proc.on_message(ctx, ch, frame.message);
-          stats_.delivered.fetch_add(1, std::memory_order_relaxed);
-          const double dup = fault.duplicate.load(std::memory_order_relaxed);
-          if (dup > 0.0 && node.filter_rng.chance(dup) && !proc.busy()) {
-            proc.on_message(ctx, ch, frame.message);
-            stats_.delivered.fetch_add(1, std::memory_order_relaxed);
-            stats_.filter_duplicates.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (proc.tick_enabled()) proc.on_tick(ctx);
-    }
-    if (options_.activation_pause.count() > 0)
-      std::this_thread::sleep_for(options_.activation_pause);
-    else
-      std::this_thread::yield();
-  }
-}
-
-void SocketRuntime::start() {
-  if (started_.exchange(true, std::memory_order_acq_rel)) return;
-  for (const auto& node : locals_)
-    SNAPSTAB_CHECK_MSG(node->process != nullptr,
-                       "install all hosted processes before start()");
-  for (auto& node : locals_) {
-    Node* raw = node.get();
-    node->thread = std::thread([this, raw] { thread_main(*raw); });
-  }
-}
-
-bool SocketRuntime::run(const std::function<bool()>& done,
-                        std::chrono::milliseconds timeout) {
-  if (stop_.load(std::memory_order_acquire)) return done();  // shut down
-  start();
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (done()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return done();
-}
-
-void SocketRuntime::shutdown() {
-  stop_.store(true, std::memory_order_release);
-  for (auto& node : locals_)
-    if (node->thread.joinable()) node->thread.join();
-}
-
-std::vector<sim::Observation> SocketRuntime::observations() const {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return log_;
-}
-
-void SocketRuntime::observe_external(int process, sim::Layer layer,
-                                     sim::ObsKind kind, int peer,
-                                     const Value& value) {
-  const std::uint64_t step =
-      event_counter_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(log_mu_);
-  log_.push_back(sim::Observation{step, process, layer, kind, peer, value});
+bool SocketRuntime::inject(sim::EdgeId e, const Message& m) {
+  const std::vector<std::uint8_t> frame = encode_frame(e, m, string_pool());
+  return inject_datagram(topology().edge_dst(e), frame.data(), frame.size());
 }
 
 SocketRuntime::WireStats SocketRuntime::wire_stats() const {
   WireStats out;
-  out.datagrams_sent = stats_.datagrams_sent.load(std::memory_order_relaxed);
-  out.datagrams_received =
-      stats_.datagrams_received.load(std::memory_order_relaxed);
-  out.delivered = stats_.delivered.load(std::memory_order_relaxed);
+  out.datagrams_sent = datagrams_sent_.load(std::memory_order_relaxed);
+  out.datagrams_received = datagrams_received_.load(std::memory_order_relaxed);
   for (int i = 0; i < kWireFrameResultCount; ++i) {
     const std::uint64_t c =
-        stats_.by_result[static_cast<std::size_t>(i)].load(
-            std::memory_order_relaxed);
+        by_result_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
     out.by_result[static_cast<std::size_t>(i)] = c;
     if (i != static_cast<int>(WireFrameResult::Ok)) out.rejected_frames += c;
   }
-  out.bad_edge = stats_.bad_edge.load(std::memory_order_relaxed);
-  out.loss_drops = stats_.loss_drops.load(std::memory_order_relaxed);
-  out.filter_drops = stats_.filter_drops.load(std::memory_order_relaxed);
-  out.filter_duplicates =
-      stats_.filter_duplicates.load(std::memory_order_relaxed);
-  out.down_drops = stats_.down_drops.load(std::memory_order_relaxed);
+  out.bad_edge = bad_edge_.load(std::memory_order_relaxed);
+  const FilterStats f = filter_stats();
+  out.delivered = f.delivered;
+  out.loss_drops = f.loss_drops;
+  out.filter_drops = f.filter_drops;
+  out.filter_duplicates = f.filter_duplicates;
+  out.down_drops = f.down_drops;
   return out;
 }
 

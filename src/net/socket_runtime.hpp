@@ -1,12 +1,13 @@
-// socket_runtime.hpp — the real-wire backend: one UDP socket per node.
+// socket_runtime.hpp — the UDP transport of live::Runtime: one socket per
+// node.
 //
-// The third execution backend behind sim::ContextBackend, alongside the
-// deterministic Simulator and the in-process ThreadRuntime. Every node
-// binds a UDP socket on the loopback interface; every protocol message
-// crosses the kernel as a framed datagram (net/wire.hpp over msg::codec),
-// so the stack faces a channel that genuinely loses, duplicates and
-// reorders — the paper's unbounded-capacity lossy link, realized by an
-// actual network instead of a simulated adversary.
+// Every node binds a UDP socket on the loopback interface; every protocol
+// message crosses the kernel as a framed datagram (net/wire.hpp over
+// msg::codec), so the stack faces a channel that genuinely loses,
+// duplicates and reorders — the paper's unbounded-capacity lossy link,
+// realized by an actual network instead of a simulated adversary. Node
+// threads, the fault filter, the observation log and the lifecycle are the
+// shared live::Runtime's.
 //
 // Hosting modes:
 //   * single process (default): one SocketRuntime hosts every node of the
@@ -18,38 +19,24 @@
 //     shared port table; a SIGKILLed process can rebind its port and
 //     rejoin, which is what the fault engine's process-kill path tests.
 //
-// Receive path, per activation of a node thread (mirrors the
-// ThreadRuntime's one-message-per-channel budget):
-//   recvfrom -> decode_frame (corrupt/truncated datagrams counted and
-//   dropped, never delivered) -> edge validation (must terminate here) ->
-//   the fault filter (per-edge drop/duplicate/down, driven by
-//   fault::RuntimeInjector between recv and dispatch) ->
-//   Process::on_message, then on_tick. Datagrams a busy process leaves
-//   unread queue in the kernel socket buffer — the unbounded channel.
-//
-// Concurrency discipline is the ThreadRuntime's: process state only under
-// the node mutex, observation log under its own mutex with a monotonic
-// event counter, one shared StringPool. Unlike the one-shot ThreadRuntime
-// the node threads keep serving across run() calls until shutdown() —
-// real servers outlive one await batch.
+// Seam: send is one sendto; receive attempt k is one non-blocking recv,
+// then decode_frame (corrupt/truncated datagrams counted and dropped, never
+// delivered) and edge validation (must terminate here), after which the
+// shared fault filter decides. An empty socket ends the activation's
+// receive loop. Datagrams a busy process leaves unread queue in the kernel
+// socket buffer — the unbounded channel. inject sends a framed garbage
+// message from a side-channel socket.
 #ifndef SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 #define SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "msg/strpool.hpp"
+#include "live/runtime.hpp"
 #include "net/wire.hpp"
-#include "sim/process.hpp"
-#include "sim/topology.hpp"
 
 namespace snapstab::net {
 
@@ -59,8 +46,6 @@ struct SocketRuntimeOptions {
   // genuinely drops): each accepted frame is discarded with this
   // probability before dispatch. The bench ladder's loss knob.
   double loss_rate = 0.0;
-  // Pause between consecutive activations of one node thread.
-  std::chrono::microseconds activation_pause{20};
   // One UDP port per node (multi-process mode). Empty: every node binds
   // an ephemeral loopback port, which requires hosting all nodes here.
   std::vector<std::uint16_t> ports;
@@ -68,53 +53,17 @@ struct SocketRuntimeOptions {
   std::vector<int> local_nodes;
 };
 
-class SocketRuntime {
+class SocketRuntime final : public live::Runtime {
  public:
-  SocketRuntime(sim::Topology topology, SocketRuntimeOptions options = {});
+  SocketRuntime(const sim::Topology& topology,
+                const SocketRuntimeOptions& options = {});
   // The paper's fully-connected network.
-  SocketRuntime(int process_count, SocketRuntimeOptions options = {});
-  ~SocketRuntime();
+  SocketRuntime(int process_count, const SocketRuntimeOptions& options = {});
+  ~SocketRuntime() override;
 
-  SocketRuntime(const SocketRuntime&) = delete;
-  SocketRuntime& operator=(const SocketRuntime&) = delete;
-
-  // Install exactly one process per hosted node, in ascending node order.
-  void add_process(std::unique_ptr<sim::Process> p);
-
-  int process_count() const noexcept { return n_; }
-  const sim::Topology& topology() const noexcept { return topology_; }
-  bool hosts(int node) const noexcept;
   // The UDP port node `node` is reachable on (actual bound port for
   // hosted nodes, the configured one for remote nodes).
   std::uint16_t port_of(int node) const;
-
-  // Spawns the node threads (idempotent; run() calls it on demand).
-  void start();
-  // Polls `done()` every millisecond until it holds or `timeout` elapses;
-  // returns whether it held. The threads keep serving afterwards — a
-  // SocketRuntime awaits as many batches as the driver likes.
-  bool run(const std::function<bool()>& done,
-           std::chrono::milliseconds timeout);
-  // Stops and joins the node threads. After shutdown() the runtime can no
-  // longer make progress; run() just polls once.
-  void shutdown();
-  bool running() const noexcept {
-    return started_.load(std::memory_order_acquire) &&
-           !stop_.load(std::memory_order_acquire);
-  }
-
-  // Executes `f` on hosted node `p` (cast to T) under its node lock.
-  template <typename T, typename F>
-  auto with_process(int p, F&& f) {
-    auto& node = local(p);
-    std::lock_guard<std::mutex> lock(node.mu);
-    return f(dynamic_cast<T&>(*node.process));
-  }
-
-  std::vector<sim::Observation> observations() const;
-  void observe_external(int process, sim::Layer layer, sim::ObsKind kind,
-                        int peer, const Value& value);
-  StringPool& string_pool() const noexcept { return *pool_; }
 
   // --- wire accounting ----------------------------------------------------
   struct WireStats {
@@ -132,71 +81,31 @@ class SocketRuntime {
   // Aggregated over every hosted node; safe to read concurrently.
   WireStats wire_stats() const;
 
-  // --- the socket-level fault filter (fault::RuntimeInjector) -------------
-  // Installed between recv and dispatch on the receiving node; rates and
-  // flags are plain atomics so the injection thread flips them while the
-  // node threads run.
-  void set_edge_drop(sim::EdgeId e, double rate);
-  void set_edge_duplicate(sim::EdgeId e, double rate);
-  void set_edge_down(sim::EdgeId e, bool down);
-  void clear_edge_faults();
-
-  // Sends raw bytes to `dst_node`'s socket from a side-channel socket —
-  // the garbage-burst path (valid frames carrying random messages, or
-  // plain noise exercising the frame rejections). Returns whether the
-  // kernel accepted the datagram.
+  // Sends raw bytes to `dst_node`'s socket from the side-channel socket
+  // (hostile datagrams: noise exercising the frame rejections). Returns
+  // whether the kernel accepted the datagram.
   bool inject_datagram(int dst_node, const void* data, std::size_t size);
 
+  bool inject(sim::EdgeId e, const Message& m) override;
+
  private:
-  struct Node {
-    int id = -1;
-    int fd = -1;
-    std::mutex mu;
-    std::unique_ptr<sim::Process> process;
-    std::thread thread;
-    Rng rng{0};         // protocol draws (Context::rng)
-    Rng filter_rng{0};  // loss/duplicate filter draws — separate stream so
-                        // the filter never perturbs protocol randomness
+  struct Socket {
+    int fd = -1;                    // -1: the node lives in another process
+    std::vector<std::uint8_t> buf;  // receive buffer, kMaxDatagramSize
   };
-  struct EdgeFault {
-    std::atomic<double> drop{0.0};
-    std::atomic<double> duplicate{0.0};
-    std::atomic<bool> down{false};
-  };
-  struct AtomicWireStats {
-    std::atomic<std::uint64_t> datagrams_sent{0};
-    std::atomic<std::uint64_t> datagrams_received{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::array<std::atomic<std::uint64_t>, kWireFrameResultCount> by_result{};
-    std::atomic<std::uint64_t> bad_edge{0};
-    std::atomic<std::uint64_t> loss_drops{0};
-    std::atomic<std::uint64_t> filter_drops{0};
-    std::atomic<std::uint64_t> filter_duplicates{0};
-    std::atomic<std::uint64_t> down_drops{0};
-  };
-  class NodeContext;
 
-  Node& local(int p);
-  void thread_main(Node& node);
-  bool send_frame(Node& node, sim::EdgeId e, const Message& m);
+  bool send(int node, sim::EdgeId e, const Message& m) override;
+  Inbound receive(int node, int k) override;
 
-  sim::Topology topology_;
-  int n_;
-  SocketRuntimeOptions options_;
-  StringPool* pool_;
-  std::vector<std::unique_ptr<Node>> locals_;   // hosted nodes, ascending id
-  std::vector<int> local_slot_;                 // node id -> locals_ index | -1
-  std::vector<std::uint16_t> port_table_;       // node id -> UDP port
-  std::unique_ptr<EdgeFault[]> edge_faults_;    // one per directed edge
+  std::vector<Socket> sockets_;            // node id -> its socket
+  std::vector<std::uint16_t> port_table_;  // node id -> UDP port
   int inject_fd_ = -1;
-  mutable std::mutex inject_mu_;
+  std::mutex inject_mu_;
 
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stop_{false};
-  AtomicWireStats stats_;
-  std::atomic<std::uint64_t> event_counter_{0};
-  mutable std::mutex log_mu_;
-  std::vector<sim::Observation> log_;
+  std::atomic<std::uint64_t> datagrams_sent_{0};
+  std::atomic<std::uint64_t> datagrams_received_{0};
+  std::array<std::atomic<std::uint64_t>, kWireFrameResultCount> by_result_{};
+  std::atomic<std::uint64_t> bad_edge_{0};
 };
 
 }  // namespace snapstab::net

@@ -1,170 +1,55 @@
 #include "runtime/thread_runtime.hpp"
 
-#include "common/check.hpp"
+#include <numeric>
 
 namespace snapstab::runtime {
+namespace {
 
-// Context backend bound to one process of the thread runtime. Only ever
-// used by the owning thread while it holds the node mutex; protocol code
-// reaches it through sim::Context's generic (one virtual hop) path.
-class ThreadRuntime::NodeContext final : public sim::ContextBackend {
- public:
-  NodeContext(ThreadRuntime& rt, int self) : rt_(rt), self_(self) {}
+std::vector<int> every_node(int n) {
+  std::vector<int> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
 
-  int degree() const override { return rt_.topology_.degree(self_); }
+}  // namespace
 
-  bool send(int channel_index, const Message& m) override {
-    // Same local-index mapping as the simulator: the shared Topology.
-    const sim::EdgeId e = rt_.topology_.out_edge(self_, channel_index);
-    auto& node = *rt_.nodes_[static_cast<std::size_t>(self_)];
-    if (rt_.options_.loss_rate > 0.0 &&
-        node.rng.chance(rt_.options_.loss_rate))
-      return true;  // accepted, then the wire ate it (invisible loss)
-    return rt_.mailboxes_[static_cast<std::size_t>(e)]->try_push(m);
-  }
-
-  void observe(sim::Layer layer, sim::ObsKind kind, int peer,
-               const Value& value) override {
-    const std::uint64_t step =
-        rt_.event_counter_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(rt_.log_mu_);
-    rt_.log_.push_back(
-        sim::Observation{step, self_, layer, kind, peer, value});
-  }
-
-  Rng& rng() override {
-    return rt_.nodes_[static_cast<std::size_t>(self_)]->rng;
-  }
-
-  std::uint64_t now() const override {
-    return rt_.event_counter_.load(std::memory_order_relaxed);
-  }
-
- private:
-  ThreadRuntime& rt_;
-  int self_;
-};
-
-ThreadRuntime::ThreadRuntime(sim::Topology topology,
+ThreadRuntime::ThreadRuntime(const sim::Topology& topology,
                              ThreadRuntimeOptions options)
-    : topology_(std::move(topology)),
-      n_(topology_.process_count()),
-      options_(options),
-      pool_(&current_string_pool()) {
-  SNAPSTAB_CHECK_MSG(topology_.connected(),
-                     "the model requires a connected network");
-  Rng seeder(options_.seed);
-  nodes_.reserve(static_cast<std::size_t>(n_));
-  for (int i = 0; i < n_; ++i) {
-    auto node = std::make_unique<Node>();
-    node->rng = seeder.fork(static_cast<std::uint64_t>(i) + 1);
-    nodes_.push_back(std::move(node));
-  }
-  const int edges = topology_.edge_count();
+    : live::Runtime(topology, options.seed, options.loss_rate,
+                    every_node(topology.process_count())) {
+  const int edges = topology.edge_count();
   mailboxes_.reserve(static_cast<std::size_t>(edges));
   for (int e = 0; e < edges; ++e)
     mailboxes_.push_back(
-        std::make_unique<Mailbox>(options_.mailbox_capacity, pool_));
+        std::make_unique<Mailbox>(options.mailbox_capacity, &string_pool()));
 }
 
 ThreadRuntime::ThreadRuntime(int process_count, ThreadRuntimeOptions options)
     : ThreadRuntime(sim::Topology::complete(process_count), options) {}
 
-ThreadRuntime::~ThreadRuntime() {
-  stop_.store(true);
-  for (auto& node : nodes_)
-    if (node->thread.joinable()) node->thread.join();
-}
-
-void ThreadRuntime::add_process(std::unique_ptr<sim::Process> p) {
-  SNAPSTAB_CHECK(p != nullptr);
-  for (auto& node : nodes_) {
-    if (node->process == nullptr) {
-      node->process = std::move(p);
-      return;
-    }
-  }
-  SNAPSTAB_CHECK_MSG(false, "more processes than runtime slots");
-}
-
-Mailbox& ThreadRuntime::mailbox_mut(int src, int dst) {
-  return *mailboxes_[static_cast<std::size_t>(topology_.edge_between(src, dst))];
-}
+ThreadRuntime::~ThreadRuntime() { shutdown(); }
 
 const Mailbox& ThreadRuntime::mailbox(int src, int dst) const {
-  return *mailboxes_[static_cast<std::size_t>(topology_.edge_between(src, dst))];
+  return *mailboxes_[static_cast<std::size_t>(
+      topology().edge_between(src, dst))];
 }
 
-void ThreadRuntime::thread_main(int p) {
-  auto& node = *nodes_[static_cast<std::size_t>(p)];
-  // Every node thread interns into the runtime's shared (thread-safe) pool.
-  ScopedStringPool pool_scope(*pool_);
-  NodeContext backend(*this, p);
-  sim::Context ctx(backend);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard<std::mutex> lock(node.mu);
-      sim::Process& proc = *node.process;
-      // Drain at most one message per incident channel, unless busy in the
-      // critical section (a busy process receives nothing).
-      if (!proc.busy()) {
-        for (int ch = 0; ch < topology_.degree(p); ++ch) {
-          if (proc.busy()) break;  // the CS may start mid-drain? (it cannot
-                                   // — receives never start a CS — but stay
-                                   // defensive)
-          const sim::EdgeId e = topology_.in_edge(p, ch);
-          if (auto m = mailboxes_[static_cast<std::size_t>(e)]->try_pop())
-            proc.on_message(ctx, ch, *m);
-        }
-      }
-      if (proc.tick_enabled()) proc.on_tick(ctx);
-    }
-    if (options_.activation_pause.count() > 0)
-      std::this_thread::sleep_for(options_.activation_pause);
-    else
-      std::this_thread::yield();
+bool ThreadRuntime::send(int /*node*/, sim::EdgeId e, const Message& m) {
+  return mailboxes_[static_cast<std::size_t>(e)]->try_push(m);
+}
+
+ThreadRuntime::Inbound ThreadRuntime::receive(int node, int k) {
+  Inbound in;
+  const sim::EdgeId e = topology().in_edge(node, k);
+  if (auto m = mailboxes_[static_cast<std::size_t>(e)]->try_pop()) {
+    in.edge = e;
+    in.message = *m;
   }
+  return in;
 }
 
-bool ThreadRuntime::run(const std::function<bool()>& done,
-                        std::chrono::milliseconds timeout) {
-  SNAPSTAB_CHECK_MSG(!started_, "ThreadRuntime is one-shot");
-  for (const auto& node : nodes_)
-    SNAPSTAB_CHECK_MSG(node->process != nullptr,
-                       "install all processes before run()");
-  started_ = true;
-
-  for (int p = 0; p < n_; ++p)
-    nodes_[static_cast<std::size_t>(p)]->thread =
-        std::thread([this, p] { thread_main(p); });
-
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  bool ok = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (done()) {
-      ok = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  stop_.store(true);
-  for (auto& node : nodes_)
-    if (node->thread.joinable()) node->thread.join();
-  return ok;
-}
-
-std::vector<sim::Observation> ThreadRuntime::observations() const {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return log_;
-}
-
-void ThreadRuntime::observe_external(int process, sim::Layer layer,
-                                     sim::ObsKind kind, int peer,
-                                     const Value& value) {
-  const std::uint64_t step =
-      event_counter_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(log_mu_);
-  log_.push_back(sim::Observation{step, process, layer, kind, peer, value});
+bool ThreadRuntime::inject(sim::EdgeId e, const Message& m) {
+  return mailboxes_[static_cast<std::size_t>(e)]->try_push(m);
 }
 
 }  // namespace snapstab::runtime

@@ -1,122 +1,50 @@
-// thread_runtime.hpp — one OS thread per process.
+// thread_runtime.hpp — the mailbox transport of live::Runtime.
 //
-// The paper closes with "actually implementing them is a future challenge";
-// this runtime takes the same Process objects that run in the simulator and
-// executes them under genuine concurrency: each process is a thread, each
-// directed edge of the topology a capacity-bounded lossy Mailbox carrying
-// codec-encoded datagrams. Protocol code is shared verbatim with the
-// simulator — the Process/Context interfaces are the only coupling, and the
-// local-index ↔ peer mapping is the same Topology object the simulator uses
-// (historic constructor: the paper's fully-connected rotation numbering).
+// One OS thread per process (live/runtime.hpp), and each directed edge of
+// the topology a capacity-bounded Mailbox carrying codec-encoded messages:
+// the paper's bounded-capacity channel, under genuine concurrency. A send
+// into a full mailbox loses the message. Protocol code is shared verbatim
+// with the simulator, and the local-index <-> peer mapping is the same
+// Topology object the simulator uses (historic constructor: the paper's
+// fully-connected rotation numbering).
 //
-// Concurrency discipline: a process's state is touched only under its node
-// mutex — by its own thread during an activation, or by with_process() /
-// the stop predicate from the supervising thread. The observation log has
-// its own mutex and a monotonic event counter standing in for steps.
+// Seam: send pushes onto the edge's mailbox, receive attempt k pops in-edge
+// k, inject pushes garbage. The `loss_rate` option and the fault filter run
+// at receive, between the pop and dispatch, like every live transport.
 #ifndef SNAPSTAB_RUNTIME_THREAD_RUNTIME_HPP
 #define SNAPSTAB_RUNTIME_THREAD_RUNTIME_HPP
 
-#include <atomic>
-#include <chrono>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "msg/strpool.hpp"
+#include "live/runtime.hpp"
 #include "runtime/mailbox.hpp"
-#include "sim/process.hpp"
-#include "sim/topology.hpp"
 
 namespace snapstab::runtime {
 
 struct ThreadRuntimeOptions {
   std::size_t mailbox_capacity = 1;
-  double loss_rate = 0.0;      // per-send probability of losing the message
-  std::uint64_t seed = 1;      // seeds the per-process loss/protocol RNGs
-  // Pause between consecutive activations of one process; keeps the demo
-  // from spinning a core per process.
-  std::chrono::microseconds activation_pause{20};
+  double loss_rate = 0.0;  // per-message probability of losing a delivery
+  std::uint64_t seed = 1;  // seeds the per-process protocol and filter RNGs
 };
 
-class ThreadRuntime {
+class ThreadRuntime final : public live::Runtime {
  public:
-  ThreadRuntime(sim::Topology topology, ThreadRuntimeOptions options = {});
+  ThreadRuntime(const sim::Topology& topology,
+                ThreadRuntimeOptions options = {});
   // The paper's fully-connected network (historic constructor).
   ThreadRuntime(int process_count, ThreadRuntimeOptions options = {});
-  ~ThreadRuntime();
-
-  ThreadRuntime(const ThreadRuntime&) = delete;
-  ThreadRuntime& operator=(const ThreadRuntime&) = delete;
-
-  // Install exactly `process_count` processes before run().
-  void add_process(std::unique_ptr<sim::Process> p);
-
-  int process_count() const noexcept { return n_; }
-  const sim::Topology& topology() const noexcept { return topology_; }
-
-  // Runs all process threads until `done()` holds (polled every
-  // millisecond) or the timeout elapses; returns whether `done()` held.
-  // One-shot: a ThreadRuntime instance runs once.
-  bool run(const std::function<bool()>& done,
-           std::chrono::milliseconds timeout);
-  // Whether run() has already been called (it is one-shot). Callers that
-  // may retry after a timeout — Client::run_until — check this instead of
-  // tripping the one-shot assertion.
-  bool started() const noexcept { return started_; }
-
-  // Executes `f` on process `p` (cast to T) under its node lock. Safe to
-  // call from the done-predicate and after run() returns.
-  template <typename T, typename F>
-  auto with_process(int p, F&& f) {
-    auto& node = *nodes_[static_cast<std::size_t>(p)];
-    std::lock_guard<std::mutex> lock(node.mu);
-    return f(dynamic_cast<T&>(*node.process));
-  }
-
-  // Snapshot of the observation stream so far.
-  std::vector<sim::Observation> observations() const;
-
-  // Appends a driver-side event to the observation stream (the svc layer
-  // records submissions here, mirroring the simulator's request events).
-  void observe_external(int process, sim::Layer layer, sim::ObsKind kind,
-                        int peer, const Value& value);
+  ~ThreadRuntime() override;
 
   const Mailbox& mailbox(int src, int dst) const;
-  // Mutable access for the fault engine's injection thread (mailboxes are
-  // internally synchronized; see fault::RuntimeInjector).
-  Mailbox& mailbox_mut(int src, int dst);
 
-  // The runtime's StringPool (the constructing thread's current pool): all
-  // node threads intern into and resolve against it, so observation values
-  // compare correctly with values interned by the supervising thread.
-  StringPool& string_pool() const noexcept { return *pool_; }
+  bool inject(sim::EdgeId e, const Message& m) override;
 
  private:
-  struct Node {
-    std::mutex mu;
-    std::unique_ptr<sim::Process> process;
-    std::thread thread;
-    Rng rng{0};
-  };
-  class NodeContext;
+  bool send(int node, sim::EdgeId e, const Message& m) override;
+  Inbound receive(int node, int k) override;
 
-  void thread_main(int p);
-
-  sim::Topology topology_;
-  int n_;
-  ThreadRuntimeOptions options_;
-  StringPool* pool_;
-  std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // one per directed edge
-
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> event_counter_{0};
-  mutable std::mutex log_mu_;
-  std::vector<sim::Observation> log_;
-  bool started_ = false;
 };
 
 }  // namespace snapstab::runtime

@@ -4,16 +4,12 @@
 // sim/simulator.hpp; every TU calling them must see the definitions.
 #include "sim/simulator.hpp"
 
-#include "common/check.hpp"
-
 namespace snapstab::svc {
 
 template <typename F>
 auto Client::with_host(sim::ProcessId p, F&& f) {
   if (sim_ != nullptr) return f(sim_->process_as<ServiceHost>(p));
-  if (rt_ != nullptr)
-    return rt_->with_process<ServiceHost>(p, std::forward<F>(f));
-  return srt_->with_process<ServiceHost>(p, std::forward<F>(f));
+  return rt_->with_process<ServiceHost>(p, std::forward<F>(f));
 }
 
 Session Client::submit_desc(sim::ProcessId origin, const Descriptor& d,
@@ -23,10 +19,7 @@ Session Client::submit_desc(sim::ProcessId origin, const Descriptor& d,
   // Hosts never submitted to this way record nothing (legacy shim-driven
   // worlds keep the allocation-free delivery path).
   if (d.service == ServiceId::ForwardMsg) {
-    const int n = sim_ != nullptr   ? sim_->process_count()
-                  : rt_ != nullptr ? rt_->process_count()
-                                   : srt_->process_count();
-    if (d.dst >= 0 && d.dst < n)
+    if (d.dst >= 0 && d.dst < process_count())
       with_host(d.dst, [](ServiceHost& host) {
         host.enable_delivery_recording();
         return 0;
@@ -41,15 +34,10 @@ Session Client::submit_desc(sim::ProcessId origin, const Descriptor& d,
       sim_->log().emit(
           sim::Observation{sim_->step_count(), origin, l, k, peer, v});
     };
-  } else if (rt_ != nullptr) {
-    emit = [this, origin](sim::Layer l, sim::ObsKind k, int peer,
-                          const Value& v) {
-      rt_->observe_external(origin, l, k, peer, v);
-    };
   } else {
     emit = [this, origin](sim::Layer l, sim::ObsKind k, int peer,
                           const Value& v) {
-      srt_->observe_external(origin, l, k, peer, v);
+      rt_->observe_external(origin, l, k, peer, v);
     };
   }
   const ServiceHost::Submitted sub = with_host(
@@ -159,28 +147,15 @@ AwaitResult Client::await_all(const std::vector<Session>& sessions,
                ? AwaitResult::RuntimeDown
                : AwaitResult::BudgetExhausted;
   }
-  if (rt_ != nullptr) {
-    // ThreadRuntime::run is one-shot. A second await — typically a retry
-    // after a timeout — must not trip that assertion: the runtime's threads
-    // have already joined, so one poll answers the question, and an
-    // incomplete session can never complete on this runtime again.
-    if (rt_->started())
-      return poll_all(sessions) ? AwaitResult::Done : AwaitResult::RuntimeDown;
-    return rt_->run([this, &sessions] { return poll_all(sessions); },
-                    opts.timeout)
-               ? AwaitResult::Done
-               : AwaitResult::BudgetExhausted;
-  }
-  SNAPSTAB_CHECK(srt_ != nullptr);
-  // SocketRuntime::run is NOT one-shot — the node threads keep serving
-  // between awaits, so a timed-out batch can be awaited again with a
-  // bigger budget. Only an explicit shutdown() makes the runtime terminal.
+  // The node threads keep serving between awaits, so a timed-out batch can
+  // be awaited again with a bigger budget. Only shutdown() makes the
+  // runtime terminal.
   if (poll_all(sessions)) return AwaitResult::Done;
-  if (srt_->run([this, &sessions] { return poll_all(sessions); },
-                opts.timeout))
+  if (rt_->run([this, &sessions] { return poll_all(sessions); },
+               opts.timeout))
     return AwaitResult::Done;
-  return srt_->running() ? AwaitResult::BudgetExhausted
-                         : AwaitResult::RuntimeDown;
+  return rt_->running() ? AwaitResult::BudgetExhausted
+                        : AwaitResult::RuntimeDown;
 }
 
 }  // namespace snapstab::svc

@@ -1,11 +1,11 @@
 // client.hpp — the driver-side half of the service API.
 //
 // A Client binds the uniform submit / poll / complete surface to an
-// execution backend: the deterministic Simulator or the genuinely
-// concurrent ThreadRuntime. The *same* client program runs against either
-// — submit typed descriptors, batch-await with run_until, read results —
-// which is what lets examples and benches be written once (see
-// examples/service_client.cpp).
+// execution backend: the deterministic Simulator or a live::Runtime (the
+// mailbox ThreadRuntime or the UDP SocketRuntime). The *same* client
+// program runs against any of them — submit typed descriptors, batch-await
+// with run_until, read results — which is what lets examples and benches
+// be written once (see examples/service_client.cpp).
 //
 //   svc::Client client(sim);                      // or Client(rt)
 //   auto s1 = client.submit(0, svc::PifBroadcast{Value::text("hello")});
@@ -14,18 +14,15 @@
 //   client.result(s2).value;                      // the delivery ack
 //
 // Backend notes:
-//   * Simulator: run_until drives the PR-4 sealed step loop (sim.run with a
+//   * Simulator: run_until drives the sealed step loop (sim.run with a
 //     session-completion stop predicate; StopPolicy{check_every} amortizes
 //     the check for bulk runs). Everything is deterministic and adds no RNG
 //     draws — a session-driven world replays bit-identically.
-//   * ThreadRuntime: submissions lock the target node; run_until maps onto
-//     ThreadRuntime::run (one-shot — a ThreadRuntime instance awaits once)
-//     with the same completion predicate, polled by the supervisor.
-//   * SocketRuntime: the real-wire backend (UDP loopback or multi-process;
-//     see net/socket_runtime.hpp). Submissions lock the target node exactly
-//     like the thread runtime; await_all maps onto SocketRuntime::run, which
-//     is NOT one-shot — the node threads keep serving between awaits, so a
-//     timed-out batch can simply be awaited again with more budget.
+//   * live::Runtime: submissions lock the target node; await_all polls,
+//     then maps onto Runtime::run with the same completion predicate. The
+//     node threads keep serving between awaits, so a timed-out batch can
+//     simply be awaited again with more budget; only shutdown() makes the
+//     runtime terminal.
 #ifndef SNAPSTAB_SVC_CLIENT_HPP
 #define SNAPSTAB_SVC_CLIENT_HPP
 
@@ -34,8 +31,7 @@
 #include <initializer_list>
 #include <vector>
 
-#include "net/socket_runtime.hpp"
-#include "runtime/thread_runtime.hpp"
+#include "live/runtime.hpp"
 #include "sim/simulator.hpp"
 #include "svc/host.hpp"
 #include "svc/service.hpp"
@@ -60,17 +56,16 @@ struct Session {
 
 struct AwaitOptions {
   std::uint64_t max_steps = 10'000'000;     // Simulator step budget
-  std::chrono::milliseconds timeout{30'000};  // ThreadRuntime wall budget
+  std::chrono::milliseconds timeout{30'000};  // live runtime wall budget
   sim::StopPolicy policy{};                 // Simulator check cadence
 };
 
 // Terminal answer of a batch await. `BudgetExhausted` means more budget
 // could still finish the batch (steps remain enabled / threads still
 // running); `RuntimeDown` means no budget can — the Simulator went
-// quiescent with sessions incomplete, or the one-shot ThreadRuntime's
-// threads have already joined. The distinction matters on the ThreadRuntime
-// path, where the historic bool conflated "try a bigger timeout" with
-// "this runtime will never answer".
+// quiescent with sessions incomplete, or the live runtime was shut down.
+// The historic bool conflated "try a bigger timeout" with "this runtime
+// will never answer".
 enum class AwaitResult : std::uint8_t { Done, BudgetExhausted, RuntimeDown };
 
 inline constexpr int kAwaitResultCount = 3;
@@ -87,29 +82,12 @@ constexpr const char* await_result_name(AwaitResult r) noexcept {
   return "?";
 }
 
-// Which execution backend a Client is bound to.
-enum class BackendKind : std::uint8_t { Simulator, Thread, Socket };
-
-inline constexpr int kBackendKindCount = 3;
-
-constexpr const char* backend_kind_name(BackendKind b) noexcept {
-  static_assert(kBackendKindCount == static_cast<int>(BackendKind::Socket) + 1,
-                "new BackendKind: update kBackendKindCount and every switch");
-  switch (b) {
-    case BackendKind::Simulator: return "simulator";
-    case BackendKind::Thread: return "thread";
-    case BackendKind::Socket: return "socket";
-  }
-  return "?";
-}
-
 class Client {
  public:
   using CompletionFn = ServiceHost::CompletionFn;
 
   explicit Client(sim::Simulator& sim) : sim_(&sim) {}
-  explicit Client(runtime::ThreadRuntime& rt) : rt_(&rt) {}
-  explicit Client(net::SocketRuntime& srt) : srt_(&srt) {}
+  explicit Client(live::Runtime& rt) : rt_(&rt) {}
 
   // Typed submit: any descriptor from svc/service.hpp.
   template <typename D>
@@ -130,9 +108,8 @@ class Client {
 
   // Batch-await with a terminal reason: runs the backend until every
   // session is Done, the budget runs out, or the runtime can no longer make
-  // progress. Simulator: deterministic, stop checked per `policy`.
-  // ThreadRuntime: one-shot, wall-clock bounded; a second await on a
-  // started (joined) runtime polls instead of spinning.
+  // progress. Simulator: deterministic, stop checked per `policy`. Live:
+  // wall-clock bounded; a shut-down runtime is polled once.
   AwaitResult await_all(const std::vector<Session>& sessions,
                         AwaitOptions opts = {});
 
@@ -150,24 +127,20 @@ class Client {
   }
 
   sim::Simulator* simulator() noexcept { return sim_; }
-  runtime::ThreadRuntime* thread_runtime() noexcept { return rt_; }
-  net::SocketRuntime* socket_runtime() noexcept { return srt_; }
-  BackendKind backend() const noexcept {
-    if (sim_ != nullptr) return BackendKind::Simulator;
-    if (rt_ != nullptr) return BackendKind::Thread;
-    return BackendKind::Socket;
+  live::Runtime* live_runtime() noexcept { return rt_; }
+  int process_count() const noexcept {
+    return sim_ != nullptr ? sim_->process_count() : rt_->process_count();
   }
 
  private:
   // Runs `f` on the ServiceHost at `p`: direct for the simulator backend,
-  // under the node lock for the thread and socket runtimes.
+  // under the node lock for a live runtime.
   template <typename F>
   auto with_host(sim::ProcessId p, F&& f);
   bool poll_all(const std::vector<Session>& sessions);
 
   sim::Simulator* sim_ = nullptr;
-  runtime::ThreadRuntime* rt_ = nullptr;
-  net::SocketRuntime* srt_ = nullptr;
+  live::Runtime* rt_ = nullptr;
 };
 
 }  // namespace snapstab::svc

@@ -75,9 +75,7 @@ void Supervisor::launch(Rec& rec) {
 sim::ProcessId Supervisor::hedge_origin(const Rec& rec,
                                         std::size_t index) const {
   if (!opts_.hedge.spray_origins) return rec.origin;
-  const int n = client_->simulator() != nullptr
-                    ? client_->simulator()->topology().process_count()
-                    : client_->thread_runtime()->process_count();
+  const int n = client_->process_count();
   if (n < 2) return rec.origin;
   // Salt by the ticket index so concurrent hedges fan out across backups
   // instead of re-creating a hotspot on one designated host.
@@ -344,14 +342,12 @@ bool Supervisor::run_all(AwaitOptions opts) {
     }
     return true;
   }
-  SNAPSTAB_CHECK(client_->thread_runtime() != nullptr);
-  runtime::ThreadRuntime* rt = client_->thread_runtime();
   if (pump()) return true;
-  if (!rt->started() && rt->run([this] { return pump(); }, opts.timeout))
+  if (client_->live_runtime()->run([this] { return pump(); }, opts.timeout))
     return true;
-  // Timed out, or the one-shot runtime had already run: nothing will make
-  // further progress. Settle every live ticket (Expired / GaveUp / Refused)
-  // so the caller still gets terminal outcomes, and report the budget loss.
+  // Timed out, or the runtime was shut down: settle every live ticket
+  // (Expired / GaveUp / Refused) so the caller still gets terminal
+  // outcomes, and report the budget loss.
   force_settle();
   return false;
 }

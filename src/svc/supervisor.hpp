@@ -2,8 +2,8 @@
 //
 // A Supervisor wraps svc::Client with the driver-side recovery discipline
 // the fault engine requires: every supervised request gets a per-attempt
-// deadline (engine steps on the Simulator backend, wall milliseconds on the
-// ThreadRuntime), a retry budget with seeded exponential backoff, and a
+// deadline (engine steps on the Simulator backend, wall milliseconds on a
+// live runtime), a retry budget with seeded exponential backoff, and a
 // guaranteed *terminal* SessionOutcome — Ok, Refused, Expired or GaveUp —
 // instead of a silent hang. That is the snap-stabilization contract seen
 // from the client's chair: a request caught by a transient fault may fail,
@@ -98,7 +98,7 @@ struct HedgeOptions {
 
 struct SuperviseOptions {
   // Per-attempt deadline and backoff pacing, in the backend's clock units:
-  // engine steps (Simulator) or milliseconds (ThreadRuntime).
+  // engine steps (Simulator) or milliseconds (live runtime).
   std::uint64_t attempt_deadline = 50'000;
   int retry_budget = 3;  // resubmissions allowed after the initial attempt
   std::uint64_t backoff_base = 64;

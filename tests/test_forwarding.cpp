@@ -377,6 +377,7 @@ TEST(Forwarding, DeliversAcrossThreadRuntimeMailboxes) {
         });
       },
       10s);
+  rt.shutdown();
   EXPECT_TRUE(ok) << "payload did not cross the thread runtime";
   int deliveries = 0;
   for (const auto& e : rt.observations())

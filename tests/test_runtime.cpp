@@ -1,5 +1,6 @@
 // test_runtime.cpp — the thread runtime: the same protocol objects under
-// real concurrency, bounded lossy mailboxes and the binary wire format.
+// real concurrency, bounded lossy mailboxes and the binary wire format;
+// plus the live::Runtime properties both transports share.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include "core/stack.hpp"
 #include "fault/plan.hpp"
 #include "fault/runtime_injector.hpp"
+#include "live_transports.hpp"
 #include "runtime/thread_runtime.hpp"
 
 namespace snapstab::runtime {
@@ -57,6 +59,7 @@ TEST(ThreadRuntime, PifCompletesUnderRealConcurrency) {
             0, [](core::PifProcess& p) { return p.pif().done(); });
       },
       10s);
+  rt.shutdown();
   EXPECT_TRUE(ok) << "PIF did not complete on the thread runtime";
 
   // Every peer generated the receive-brd event for the payload.
@@ -112,6 +115,7 @@ TEST(ThreadRuntime, MutualExclusionHoldsWithAtomicWitness) {
       return s.me().request_cs();
     });
   const bool ok = rt.run([&grants, n] { return grants.load() >= n; }, 30s);
+  rt.shutdown();  // the CS body touches this frame's counters
   EXPECT_TRUE(ok) << "not every request was served";
   EXPECT_EQ(peak.load(), 1) << "two critical sections overlapped";
 }
@@ -166,6 +170,7 @@ TEST(ThreadRuntime, ResetServiceRunsOnThreads) {
             0, [](core::ResetProcess& p) { return p.reset().done(); });
       },
       10s);
+  rt.shutdown();  // the reset hook touches this frame's counter
   EXPECT_TRUE(ok);
   EXPECT_EQ(hooks.load(), n);  // initiator + every peer
 }
@@ -258,26 +263,46 @@ TEST(RuntimeInjector, StormCeasesAndFreshRequestCompletes) {
   EXPECT_GT(inj.counters().crashes, 0u) << plan.repro_line();
 }
 
-TEST(ThreadRuntime, ObservationsAreMonotonic) {
-  const int n = 2;
-  ThreadRuntime rt(n, {.seed = 17});
+// ---------------------------------------------------------------------------
+// live::Runtime properties, on both transports.
+// ---------------------------------------------------------------------------
+
+class LiveRuntime : public ::testing::TestWithParam<test::Transport> {};
+
+TEST_P(LiveRuntime, ObservationsAreMonotonic) {
+  // Every node elects at once, so all four threads observe concurrently:
+  // the log's order must still be its step order.
+  const int n = 4;
+  auto rt = test::make_live(GetParam(), n, 17);
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  rt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
-    p.pif().request(Value::integer(1));
-    return 0;
-  });
-  rt.run(
-      [&rt] {
-        return rt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
+    rt->add_process(
+        std::make_unique<core::ElectionProcess>(100 - i, n - 1, 1));
+  for (int i = 0; i < n; ++i)
+    rt->with_process<core::ElectionProcess>(i, [](core::ElectionProcess& p) {
+      p.election().request();
+      return 0;
+    });
+  const bool ok = rt->run(
+      [&rt, n] {
+        for (int i = 0; i < n; ++i)
+          if (!rt->with_process<core::ElectionProcess>(
+                  i, [](core::ElectionProcess& p) {
+                    return p.election().done();
+                  }))
+            return false;
+        return true;
       },
-      10s);
-  const auto obs = rt.observations();
+      20s);
+  rt->shutdown();
+  ASSERT_TRUE(ok);
+  const auto obs = rt->observations();
   ASSERT_FALSE(obs.empty());
   for (std::size_t i = 1; i < obs.size(); ++i)
-    EXPECT_LT(obs[i - 1].step, obs[i].step);
+    EXPECT_LT(obs[i - 1].step, obs[i].step) << "at " << i;
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, LiveRuntime, test::kTransports,
+                         test::transport_name);
 
 }  // namespace
 }  // namespace snapstab::runtime

@@ -9,10 +9,10 @@
 //     while live sessions keep completing;
 //   * injected loss: the flag-counting handshake recovers from ≥15%
 //     datagram loss (seeded — the failure message is the repro line);
-//   * the fault engine: a compiled FaultPlan drives the socket-level
-//     drop/duplicate/LinkDown filter and garbage datagrams, and after the
-//     storm ceases fresh sessions complete (the snap-stabilization
-//     contract);
+//   * the fault engine: a compiled FaultPlan drives the receive-side
+//     drop/duplicate/LinkDown filter and framed garbage datagrams, and
+//     after the storm ceases fresh sessions complete (the
+//     snap-stabilization contract);
 //   * multi-process: a forked child hosts one node on a fixed port; a real
 //     SIGKILL stalls the protocol, a respawned child lets it finish — and
 //     the injector delivers the SIGKILL itself via set_node_pid.
@@ -504,9 +504,6 @@ TEST(SocketFault, InjectorStormCeasesAndFreshSessionsComplete) {
                   << plan.repro_line();
   EXPECT_GT(inj.counters().crashes, 0u) << plan.repro_line();
   EXPECT_GT(inj.counters().garbage_bursts, 0u) << plan.repro_line();
-  // Every garbage burst carries one raw-noise datagram that must die in
-  // frame validation.
-  EXPECT_GT(srt.wire_stats().rejected_frames, 0u) << plan.repro_line();
 }
 
 // ---------------------------------------------------------------------------

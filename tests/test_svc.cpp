@@ -5,8 +5,8 @@
 // paper's Request variable, submit-while-In queuing order, duplicate
 // submit coalescing, forwarding admission reasons and end-to-end delivery
 // acks, completion across a mid-run corruption burst (ghost-budget
-// assertion), and identical session transcripts Simulator vs
-// ThreadRuntime.
+// assertion), identical session transcripts Simulator vs ThreadRuntime,
+// and the await verdicts and supervisor on both live transports.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +17,7 @@
 #include "core/forward_world.hpp"
 #include "core/specs.hpp"
 #include "core/stack.hpp"
+#include "live_transports.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
@@ -331,6 +332,7 @@ TEST(SvcBackends, IdenticalSessionTranscriptSimulatorVsThreadRuntime) {
   for (int i = 0; i < n; ++i)
     rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
   const Transcript rt_transcript = run_program(rt);
+  rt.shutdown();
 
   EXPECT_EQ(sim_transcript, rt_transcript);
   // Both backends recorded the submissions in their observation streams.
@@ -408,24 +410,6 @@ TEST(SvcAwait, RefusedForwardSessionIsDoneNotAwaitedForever) {
   const SessionResult r = client.result(s);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.admission, ForwardSubmit::NoRoute);
-}
-
-TEST(SvcAwait, ThreadRuntimeTimeoutReturnsFalseAndSecondAwaitDoesNotCrash) {
-  const int n = 3;
-  // Total message loss: the PIF wave can never complete, so the await can
-  // only end at the wall-clock budget.
-  runtime::ThreadRuntime rt(n, {.loss_rate = 1.0, .seed = 93});
-  for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  Client client(rt);
-  const Session s = client.submit(0, PifBroadcast{Value::integer(9)});
-  AwaitOptions opts;
-  opts.timeout = std::chrono::milliseconds(50);
-  EXPECT_FALSE(client.run_until(s, opts));
-  // The runtime is one-shot; a retry after the timeout must poll and
-  // report false, not trip the one-shot assertion.
-  EXPECT_FALSE(client.run_until(s, opts));
-  EXPECT_FALSE(client.done(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -665,8 +649,8 @@ TEST(SvcAwait, SimulatorBudgetVerdictIsTypedAndRetryable) {
   // a bigger budget finishes the same session. (A quiescent Simulator with
   // incomplete sessions would read RuntimeDown, but the snap-stabilizing
   // protocols retransmit: even a fully wiped channel set re-enables, which
-  // is exactly why the typed verdict matters on the ThreadRuntime, where
-  // the one-shot run really can die under the await.)
+  // is exactly why the typed verdict matters on a live runtime, which can
+  // be shut down under the await.)
   AwaitOptions tight;
   tight.max_steps = 2;
   EXPECT_EQ(client.await_all({s}, tight), AwaitResult::BudgetExhausted);
@@ -677,22 +661,87 @@ TEST(SvcAwait, SimulatorBudgetVerdictIsTypedAndRetryable) {
   EXPECT_TRUE(client.result(s).completed);
 }
 
-TEST(SvcAwait, ThreadRuntimeDistinguishesTimeoutFromDeadRuntime) {
+// ---------------------------------------------------------------------------
+// Live runtimes, both transports: the await verdicts and the supervisor.
+// ---------------------------------------------------------------------------
+
+void set_every_edge_down(live::Runtime& rt, bool down) {
+  for (sim::EdgeId e = 0; e < rt.topology().edge_count(); ++e)
+    rt.set_edge_down(e, down);
+}
+
+class SvcLiveAwait : public ::testing::TestWithParam<test::Transport> {};
+
+TEST_P(SvcLiveAwait, BudgetThenDoneThenRuntimeDown) {
   const int n = 3;
-  // Total loss: the wave cannot complete, so the first await ends at the
-  // wall budget while the runtime is still live — BudgetExhausted. The
-  // runtime is one-shot, so after that run the threads have joined and a
-  // second await can only report RuntimeDown.
-  runtime::ThreadRuntime rt(n, {.loss_rate = 1.0, .seed = 95});
+  auto rt = test::make_live(GetParam(), n, 93);
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  Client client(rt);
-  const Session s = client.submit(0, PifBroadcast{Value::integer(6)});
-  AwaitOptions opts;
-  opts.timeout = std::chrono::milliseconds(50);
-  EXPECT_EQ(client.await_all({s}, opts), AwaitResult::BudgetExhausted);
-  EXPECT_EQ(client.await_all({s}, opts), AwaitResult::RuntimeDown);
+    rt->add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+  Client client(*rt);
+  AwaitOptions tight;
+  tight.timeout = std::chrono::milliseconds(50);
+
+  // Every edge down: the wave cannot complete, so the await ends at the
+  // wall budget while the runtime is still live.
+  set_every_edge_down(*rt, true);
+  const Session s = client.submit(0, PifBroadcast{Value::integer(9)});
+  EXPECT_EQ(client.await_all({s}, tight), AwaitResult::BudgetExhausted);
   EXPECT_FALSE(client.done(s));
+
+  // The node threads kept serving: once the links heal, the same batch
+  // awaits to Done.
+  rt->clear_edge_faults();
+  EXPECT_EQ(client.await_all({s}), AwaitResult::Done);
+  EXPECT_TRUE(client.result(s).completed);
+
+  // After shutdown no budget can finish a session.
+  set_every_edge_down(*rt, true);
+  const Session late = client.submit(0, PifBroadcast{Value::integer(10)});
+  rt->shutdown();
+  EXPECT_EQ(client.await_all({late}, tight), AwaitResult::RuntimeDown);
+  EXPECT_FALSE(client.done(late));
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, SvcLiveAwait, test::kTransports,
+                         test::transport_name);
+
+TEST(SvcSupervisor, HedgedTicketsSettleOkOverUdp) {
+  // Supervised PIF and election tickets over real sockets, hedging on with
+  // sprayed origins. Every link starts down so each primary outlives the
+  // hedge budget and a backup launches; a few pumps later the links heal.
+  const int n = 3;
+  net::SocketRuntime rt(n, {.seed = 97});
+  for (int p = 0; p < n; ++p) {
+    HostConfig cfg;
+    cfg.id = 10 + p;
+    cfg.degree = n - 1;
+    cfg.channel_capacity = 1;
+    cfg.with_election = true;
+    rt.add_process(std::make_unique<ServiceHost>(cfg));
+  }
+  Client client(rt);
+  SuperviseOptions so;
+  so.attempt_deadline = 20'000;  // ms
+  so.hedge.enabled = true;
+  so.hedge.hedge_after = 1;  // ms
+  Supervisor sup(client, so);
+  set_every_edge_down(rt, true);
+  int pumps = 0;
+  sup.set_on_pump([&] {
+    if (++pumps == 10) rt.clear_edge_faults();
+  });
+  std::vector<Supervisor::Ticket> tickets;
+  for (int p = 0; p < n; ++p) {
+    tickets.push_back(sup.supervise(p, PifBroadcast{Value::integer(70 + p)}));
+    tickets.push_back(sup.supervise(p, Election{}));
+  }
+  AwaitOptions aw;
+  aw.timeout = std::chrono::milliseconds(60'000);
+  EXPECT_TRUE(sup.run_all(aw));
+  rt.shutdown();
+  for (const Supervisor::Ticket t : tickets)
+    EXPECT_EQ(sup.outcome(t), SessionOutcome::Ok) << "ticket " << t.id;
+  EXPECT_GT(sup.stats().hedges_launched, 0u);
 }
 
 }  // namespace
