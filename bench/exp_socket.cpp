@@ -15,7 +15,12 @@
 //     unbounded channel, realized by a network that actually drops);
 //   * hostile traffic died in frame validation — a garbage stanza fires
 //     noise and corrupted frames at a live cell and requires every one
-//     rejected (counted, never delivered, never a crash).
+//     rejected (counted, never delivered, never a crash);
+//   * the wire was not flooded — every cell sent at most
+//     kMaxDatagramsPerSession datagrams per session. Node threads drain
+//     their sockets each activation; a receive loop that leaves a backlog
+//     behind fills the kernel buffer with stale retransmissions and sent
+//     2,600–3,000 per session in these cells.
 //
 // Wall-clock, not replayable bit-for-bit; each cell's seed pins the loss
 // filter's draw sequence and is printed with any failure.
@@ -39,6 +44,10 @@ namespace {
 
 using namespace std::chrono_literals;
 using Clock = std::chrono::steady_clock;
+
+// The flood verdict's bound: with drained sockets the cells carry 30–90
+// datagrams per session.
+constexpr double kMaxDatagramsPerSession = 250.0;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -64,6 +73,10 @@ struct Cell {
   std::uint64_t datagrams = 0;
   std::uint64_t loss_drops = 0;
   std::uint64_t seed = 0;
+
+  double datagrams_per_session() const {
+    return sessions > 0 ? static_cast<double>(datagrams) / sessions : 0.0;
+  }
 };
 
 Cell run_cell(int n, double loss, int rounds, std::uint64_t seed) {
@@ -177,14 +190,23 @@ int main(int argc, char** argv) {
           seed + static_cast<std::uint64_t>(cells.size()) * 101));
 
   TextTable t({"n", "loss", "sessions", "completed", "sess/s",
-               "slowest round (ms)", "datagrams", "loss drops"});
+               "slowest round (ms)", "datagrams", "dgrams/session",
+               "loss drops"});
   bool all_recovered = true;
   bool lossy_cell_seen = false;
+  bool wire_quiet = true;
   for (const Cell& c : cells) {
     if (c.completed != c.sessions) {
       all_recovered = false;
       std::printf("FAIL cell n=%d loss=%.2f: %d/%d sessions; repro seed=%llu\n",
                   c.n, c.loss, c.completed, c.sessions,
+                  static_cast<unsigned long long>(c.seed));
+    }
+    if (c.datagrams_per_session() > kMaxDatagramsPerSession) {
+      wire_quiet = false;
+      std::printf("FAIL cell n=%d loss=%.2f: %.1f datagrams per session; "
+                  "repro seed=%llu\n",
+                  c.n, c.loss, c.datagrams_per_session(),
                   static_cast<unsigned long long>(c.seed));
     }
     if (c.loss >= 0.10) lossy_cell_seen = true;
@@ -198,6 +220,7 @@ int main(int argc, char** argv) {
                                1),
                TextTable::cell(c.round_max_ms, 1),
                TextTable::cell(static_cast<std::int64_t>(c.datagrams)),
+               TextTable::cell(c.datagrams_per_session(), 1),
                TextTable::cell(static_cast<std::int64_t>(c.loss_drops))});
   }
   t.print();
@@ -225,6 +248,9 @@ int main(int argc, char** argv) {
   verdict(garbage_ok,
           "hostile traffic died in frame validation while a live session "
           "completed");
+  verdict(wire_quiet,
+          "the wire was not flooded: <= 250 datagrams per session in every "
+          "cell");
 
   BenchJson json("exp_socket");
   json.set_meta("mode", smoke ? "smoke" : "full");
@@ -239,11 +265,13 @@ int main(int argc, char** argv) {
                   "{\"n\":%d,\"loss\":%.2f,\"sessions\":%d,"
                   "\"completed\":%d,\"sessions_per_s\":%.1f,"
                   "\"round_max_ms\":%.1f,\"datagrams\":%llu,"
+                  "\"datagrams_per_session\":%.1f,"
                   "\"loss_drops\":%llu,\"seed\":%llu}",
                   c.n, c.loss, c.sessions, c.completed,
                   c.wall_ms > 0.0 ? 1000.0 * c.sessions / c.wall_ms : 0.0,
                   c.round_max_ms,
                   static_cast<unsigned long long>(c.datagrams),
+                  c.datagrams_per_session(),
                   static_cast<unsigned long long>(c.loss_drops),
                   static_cast<unsigned long long>(c.seed));
     cell_json += buf;
@@ -256,9 +284,10 @@ int main(int argc, char** argv) {
   json.set("all_recovered", all_recovered);
   json.set("lossy_filter_fired", lossy_filter_fired);
   json.set("garbage_ok", garbage_ok);
+  json.set("wire_quiet", wire_quiet);
   if (!json.write_if_requested(args)) return 1;
   return (all_recovered && lossy_cell_seen && lossy_filter_fired &&
-          garbage_ok)
+          garbage_ok && wire_quiet)
              ? 0
              : 1;
 }

@@ -1,5 +1,9 @@
 #include "live/runtime.hpp"
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace snapstab::live {
@@ -116,15 +120,17 @@ void Runtime::thread_main(Node& node) {
   ScopedStringPool pool_scope(*pool_);
   NodeContext backend(*this, node);
   sim::Context ctx(backend);
-  const int degree = topology_.degree(node.id);
+  // Never less than one pass over the node's in-channels.
+  const int budget =
+      std::max(topology_.degree(node.id), kMaxReceivesPerActivation);
   while (!stop_.load(std::memory_order_relaxed)) {
     {
       std::lock_guard<std::mutex> lock(node.mu);
       sim::Process& proc = *node.process;
-      // At most `degree` receive attempts per activation; a process busy in
-      // its critical section receives nothing and its channels keep the
-      // backlog.
-      for (int k = 0; k < degree && !proc.busy(); ++k) {
+      // Receive until the transport has nothing pending, within the budget;
+      // a process busy in its critical section receives nothing and its
+      // channels keep the backlog.
+      for (int k = 0; k < budget && !proc.busy(); ++k) {
         const Inbound in = receive(node.id, k);
         if (in.edge >= 0) deliver(node, ctx, in.edge, in.message);
         if (!in.more) break;
@@ -166,7 +172,10 @@ void Runtime::shutdown() {
 
 std::vector<sim::Observation> Runtime::observations() const {
   std::lock_guard<std::mutex> lock(log_mu_);
-  return log_;
+  const auto head = log_.begin() + static_cast<std::ptrdiff_t>(log_head_);
+  std::vector<sim::Observation> out(head, log_.end());
+  out.insert(out.end(), log_.begin(), head);
+  return out;
 }
 
 void Runtime::observe_external(int process, sim::Layer layer,
@@ -176,7 +185,13 @@ void Runtime::observe_external(int process, sim::Layer layer,
   std::lock_guard<std::mutex> lock(log_mu_);
   const std::uint64_t step =
       event_counter_.fetch_add(1, std::memory_order_relaxed);
-  log_.push_back(sim::Observation{step, process, layer, kind, peer, value});
+  sim::Observation obs{step, process, layer, kind, peer, value};
+  if (log_.size() < kObservationLogCapacity) {
+    log_.push_back(std::move(obs));
+    return;
+  }
+  log_[log_head_] = std::move(obs);
+  log_head_ = (log_head_ + 1) % kObservationLogCapacity;
 }
 
 void Runtime::set_edge_drop(sim::EdgeId e, double rate) {

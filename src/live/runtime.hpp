@@ -6,14 +6,16 @@
 // on how bytes travel lives here, once:
 //   * the node table and the per-node Context backend;
 //   * the node-thread loop: unless the process is busy in its critical
-//     section, at most `degree` receive attempts per activation, then
-//     on_tick, then a fixed pause;
+//     section, receive until the transport reports nothing pending (at
+//     most kMaxReceivesPerActivation attempts, or one pass over a node's
+//     in-channels if it has more), then on_tick, then a fixed pause;
 //   * the receive-side fault filter between the transport and dispatch:
 //     the `loss_rate` option plus per-edge drop, duplicate and down, drawn
 //     from a per-node filter RNG separate from the protocol RNG (the filter
 //     never perturbs protocol randomness);
 //   * the observation log, stamped under its lock so log order is step
-//     order;
+//     order, and bounded: a ring keeping the newest
+//     kObservationLogCapacity entries;
 //   * one persistent lifecycle: start() spawns the node threads, run()
 //     polls a predicate, shutdown() joins. The threads keep serving across
 //     run() calls, so a timed-out await can simply be awaited again.
@@ -33,6 +35,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,6 +54,14 @@ namespace snapstab::live {
 // Pause between consecutive activations of one node thread; keeps an idle
 // node from spinning a core.
 inline constexpr std::chrono::microseconds kActivationPause{20};
+
+// Receive attempts one activation may make before on_tick runs. A transport
+// ends the loop sooner once it has nothing pending; the bound keeps a
+// flooding peer from starving the node's own retransmissions.
+inline constexpr int kMaxReceivesPerActivation = 64;
+
+// Observations the live log retains; older ones are overwritten.
+inline constexpr std::size_t kObservationLogCapacity = 4096;
 
 class Runtime {
  public:
@@ -92,8 +103,13 @@ class Runtime {
     return f(dynamic_cast<T&>(*node.process));
   }
 
-  // Snapshot of the observation stream so far.
+  // The retained window of the observation stream (at most
+  // kObservationLogCapacity entries), oldest first. Its size never shrinks.
   std::vector<sim::Observation> observations() const;
+  // Observations recorded since construction, retained or not.
+  std::uint64_t observations_recorded() const noexcept {
+    return event_counter_.load(std::memory_order_relaxed);
+  }
   // Appends a driver-side event (the svc layer records submissions here,
   // mirroring the simulator's request events).
   void observe_external(int process, sim::Layer layer, sim::ObsKind kind,
@@ -133,7 +149,7 @@ class Runtime {
 
   // One receive attempt. `edge` < 0: nothing to deliver this attempt;
   // `more` false: the transport has nothing pending, end the activation's
-  // receive loop early.
+  // receive loop.
   struct Inbound {
     sim::EdgeId edge = -1;
     Message message;
@@ -142,7 +158,8 @@ class Runtime {
 
   // The transport seam. Called by node `node`'s thread under its node lock.
   virtual bool send(int node, sim::EdgeId e, const Message& m) = 0;
-  // Receive attempt `k` of one activation (0 <= k < degree).
+  // Receive attempt `k` of one activation, k = 0, 1, ... until an Inbound
+  // says `more` is false (or the per-activation bound is reached).
   virtual Inbound receive(int node, int k) = 0;
 
  private:
@@ -185,7 +202,10 @@ class Runtime {
 
   std::atomic<std::uint64_t> event_counter_{0};
   mutable std::mutex log_mu_;
+  // Grows on demand up to kObservationLogCapacity, then wraps: log_head_
+  // is the oldest entry once full.
   std::vector<sim::Observation> log_;
+  std::size_t log_head_ = 0;
 };
 
 }  // namespace snapstab::live

@@ -1,6 +1,8 @@
 #include "msg/strpool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <unordered_map>
 
@@ -43,18 +45,42 @@ StringPool* StringPool::find_by_tag(std::uint32_t tag) noexcept {
   return it != registry().end() ? it->second : nullptr;
 }
 
+StrId StringPool::find(std::string_view s, std::size_t h) const noexcept {
+  if (slots_.empty()) return kNotFound;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    const StrId slot = slots_[i];
+    if (slot == 0) return kNotFound;
+    if (strings_[slot - 1] == s) return slot - 1;
+  }
+}
+
+void StringPool::place(StrId id, std::size_t h) noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = h & mask;
+  while (slots_[i] != 0) i = (i + 1) & mask;
+  slots_[i] = id + 1;
+}
+
 StrId StringPool::intern(std::string_view s) {
+  const std::size_t h = std::hash<std::string_view>{}(s);
   {
     std::shared_lock lock(mu_);
-    auto it = index_.find(s);
-    if (it != index_.end()) return it->second;
+    const StrId id = find(s, h);
+    if (id != kNotFound) return id;
   }
   std::unique_lock lock(mu_);
-  auto it = index_.find(s);  // re-check: another thread may have won
-  if (it != index_.end()) return it->second;
+  const StrId found = find(s, h);  // re-check: another thread may have won
+  if (found != kNotFound) return found;
   const StrId id = static_cast<StrId>(strings_.size());
   strings_.emplace_back(s);
-  index_.emplace(std::string_view(strings_.back()), id);
+  if (2 * strings_.size() > slots_.size()) {
+    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
+    for (StrId k = 0; k <= id; ++k)
+      place(k, std::hash<std::string_view>{}(strings_[k]));
+  } else {
+    place(id, h);
+  }
   return id;
 }
 

@@ -33,7 +33,7 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace snapstab {
 
@@ -81,10 +81,20 @@ class StringPool {
   static StringPool& global();
 
  private:
+  // The id of `s` (hash `h`), or kNotFound. Caller holds mu_.
+  StrId find(std::string_view s, std::size_t h) const noexcept;
+  // Records `id` in the first free slot of its probe sequence.
+  void place(StrId id, std::size_t h) noexcept;
+
+  static constexpr StrId kNotFound = ~StrId{0};
+
   const std::uint32_t tag_;
   mutable std::shared_mutex mu_;
   std::deque<std::string> strings_;  // stable addresses, append-only
-  std::unordered_map<std::string_view, StrId> index_;  // views into strings_
+  // Open-addressing index into strings_: id + 1 per used slot, 0 free. A
+  // power-of-two size kept at most half full; 4 bytes a slot instead of a
+  // hash-map node per string, since a pool only grows.
+  std::vector<StrId> slots_;
 };
 
 // The calling thread's current pool (defaults to StringPool::global()).

@@ -67,7 +67,8 @@ SocketRuntime::SocketRuntime(const sim::Topology& topology,
   for (std::size_t p = 0; p < n; ++p) {
     if (!hosts(static_cast<int>(p))) continue;
     sockets_[p].fd = bind_udp(port_table_[p], &port_table_[p]);
-    sockets_[p].buf.resize(kMaxDatagramSize);
+    sockets_[p].buf =
+        std::make_unique_for_overwrite<std::uint8_t[]>(kMaxDatagramSize);
   }
   inject_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   SNAPSTAB_CHECK_MSG(inject_fd_ >= 0, "cannot open the injection socket");
@@ -109,14 +110,14 @@ bool SocketRuntime::send(int node, sim::EdgeId e, const Message& m) {
 SocketRuntime::Inbound SocketRuntime::receive(int node, int /*k*/) {
   Inbound in;
   Socket& s = sockets_[static_cast<std::size_t>(node)];
-  const ssize_t r = ::recv(s.fd, s.buf.data(), s.buf.size(), MSG_DONTWAIT);
+  const ssize_t r = ::recv(s.fd, s.buf.get(), kMaxDatagramSize, MSG_DONTWAIT);
   if (r < 0) {  // EAGAIN: nothing pending (or a transient error)
     in.more = false;
     return in;
   }
   datagrams_received_.fetch_add(1, std::memory_order_relaxed);
   const DecodedFrame frame =
-      decode_frame(s.buf.data(), static_cast<std::size_t>(r), string_pool());
+      decode_frame(s.buf.get(), static_cast<std::size_t>(r), string_pool());
   by_result_[static_cast<std::size_t>(frame.result)].fetch_add(
       1, std::memory_order_relaxed);
   if (!frame.ok()) return in;  // counted and dropped, never delivered

@@ -22,16 +22,19 @@
 // Seam: send is one sendto; receive attempt k is one non-blocking recv,
 // then decode_frame (corrupt/truncated datagrams counted and dropped, never
 // delivered) and edge validation (must terminate here), after which the
-// shared fault filter decides. An empty socket ends the activation's
-// receive loop. Datagrams a busy process leaves unread queue in the kernel
-// socket buffer — the unbounded channel. inject sends a framed garbage
-// message from a side-channel socket.
+// shared fault filter decides. An activation drains the socket: it
+// receives until recv finds it empty (within live::Runtime's
+// kMaxReceivesPerActivation), so stale retransmissions do not pile up in
+// the kernel buffer ahead of fresh frames. Datagrams a busy process leaves
+// unread queue in the kernel socket buffer — the unbounded channel.
+// inject sends a framed garbage message from a side-channel socket.
 #ifndef SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 #define SNAPSTAB_NET_SOCKET_RUNTIME_HPP
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -90,8 +93,10 @@ class SocketRuntime final : public live::Runtime {
 
  private:
   struct Socket {
-    int fd = -1;                    // -1: the node lives in another process
-    std::vector<std::uint8_t> buf;  // receive buffer, kMaxDatagramSize
+    int fd = -1;  // -1: the node lives in another process
+    // Receive buffer of kMaxDatagramSize bytes, left uninitialised so only
+    // the pages datagrams touch become resident.
+    std::unique_ptr<std::uint8_t[]> buf;
   };
 
   bool send(int node, sim::EdgeId e, const Message& m) override;

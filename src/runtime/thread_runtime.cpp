@@ -40,6 +40,7 @@ bool ThreadRuntime::send(int /*node*/, sim::EdgeId e, const Message& m) {
 
 ThreadRuntime::Inbound ThreadRuntime::receive(int node, int k) {
   Inbound in;
+  in.more = k + 1 < topology().degree(node);  // one pass per activation
   const sim::EdgeId e = topology().in_edge(node, k);
   if (auto m = mailboxes_[static_cast<std::size_t>(e)]->try_pop()) {
     in.edge = e;

@@ -9,8 +9,10 @@
 // fully-connected rotation numbering).
 //
 // Seam: send pushes onto the edge's mailbox, receive attempt k pops in-edge
-// k, inject pushes garbage. The `loss_rate` option and the fault filter run
-// at receive, between the pop and dispatch, like every live transport.
+// k and reports `more` until the last in-edge, so an activation makes one
+// pass over the node's mailboxes; inject pushes garbage. The `loss_rate`
+// option and the fault filter run at receive, between the pop and
+// dispatch, like every live transport.
 #ifndef SNAPSTAB_RUNTIME_THREAD_RUNTIME_HPP
 #define SNAPSTAB_RUNTIME_THREAD_RUNTIME_HPP
 

@@ -1,10 +1,13 @@
 // test_runtime.cpp — the thread runtime: the same protocol objects under
 // real concurrency, bounded lossy mailboxes and the binary wire format;
-// plus the live::Runtime properties both transports share.
+// plus the live::Runtime properties both transports share (the observation
+// log, and the per-activation receive bound against a flooding transport).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "core/stack.hpp"
@@ -301,8 +304,99 @@ TEST_P(LiveRuntime, ObservationsAreMonotonic) {
     EXPECT_LT(obs[i - 1].step, obs[i].step) << "at " << i;
 }
 
+TEST_P(LiveRuntime, ObservationLogWrapsAtCapacity) {
+  // The node threads observe a concurrent election while the driver
+  // records enough events to wrap the log. The retained window is then the
+  // newest kObservationLogCapacity stamps, oldest first, with no gaps.
+  const int n = 3;
+  auto rt = test::make_live(GetParam(), n, 23);
+  for (int i = 0; i < n; ++i)
+    rt->add_process(
+        std::make_unique<core::ElectionProcess>(100 - i, n - 1, 1));
+  for (int i = 0; i < n; ++i)
+    rt->with_process<core::ElectionProcess>(i, [](core::ElectionProcess& p) {
+      p.election().request();
+      return 0;
+    });
+  rt->start();
+  const std::size_t cap = live::kObservationLogCapacity;
+  for (std::size_t i = 0; i < cap + 500; ++i)
+    rt->observe_external(0, sim::Layer::Pif, sim::ObsKind::RequestWait, -1,
+                         Value::integer(static_cast<std::int64_t>(i)));
+  EXPECT_EQ(rt->observations().size(), cap);
+  const bool ok = rt->run(
+      [&rt, n] {
+        for (int i = 0; i < n; ++i)
+          if (!rt->with_process<core::ElectionProcess>(
+                  i, [](core::ElectionProcess& p) {
+                    return p.election().done();
+                  }))
+            return false;
+        return true;
+      },
+      20s);
+  rt->shutdown();
+  ASSERT_TRUE(ok);
+
+  const auto obs = rt->observations();
+  const std::uint64_t recorded = rt->observations_recorded();
+  ASSERT_EQ(obs.size(), cap);  // wrapped, never shrunk
+  EXPECT_GT(recorded, obs.size());
+  for (std::size_t i = 0; i < obs.size(); ++i)
+    EXPECT_EQ(obs[i].step, recorded - cap + i) << "at " << i;
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, LiveRuntime, test::kTransports,
                          test::transport_name);
+
+// A transport that always has one more (undeliverable) frame pending: the
+// shape of a peer flooding a node with garbage faster than it can drain.
+class FloodTransport final : public live::Runtime {
+ public:
+  explicit FloodTransport(const sim::Topology& topo)
+      : Runtime(topo, 1, 0.0, {0, 1}) {}
+  ~FloodTransport() override { shutdown(); }
+
+  bool inject(sim::EdgeId, const Message&) override { return false; }
+
+  std::atomic<bool> flooding{true};
+  std::atomic<int> longest_loop{0};  // receive attempts in one activation
+
+ private:
+  bool send(int, sim::EdgeId, const Message&) override { return true; }
+  Inbound receive(int, int k) override {
+    int seen = longest_loop.load();
+    while (k + 1 > seen && !longest_loop.compare_exchange_weak(seen, k + 1)) {
+    }
+    Inbound in;
+    in.more = flooding.load();
+    return in;
+  }
+};
+
+class TickCounter final : public sim::Process {
+ public:
+  explicit TickCounter(std::atomic<int>& ticks) : ticks_(ticks) {}
+  void on_tick(sim::Context&) override { ticks_.fetch_add(1); }
+  void on_message(sim::Context&, int, const Message&) override {}
+  bool tick_enabled() const override { return true; }
+  void randomize(Rng&) override {}
+
+ private:
+  std::atomic<int>& ticks_;
+};
+
+TEST(LiveRuntimeLoop, AFloodCannotStarveTheTick) {
+  std::atomic<int> ticks{0};
+  FloodTransport rt(sim::Topology::complete(2));
+  rt.add_process(std::make_unique<TickCounter>(ticks));
+  rt.add_process(std::make_unique<TickCounter>(ticks));
+  const bool ticked = rt.run([&ticks] { return ticks.load() >= 10; }, 5s);
+  rt.flooding.store(false);  // lets an unbounded receive loop end
+  rt.shutdown();
+  EXPECT_TRUE(ticked) << "the receive loop never yielded to on_tick";
+  EXPECT_EQ(rt.longest_loop.load(), live::kMaxReceivesPerActivation);
+}
 
 }  // namespace
 }  // namespace snapstab::runtime

@@ -9,6 +9,8 @@
 //     while live sessions keep completing;
 //   * injected loss: the flag-counting handshake recovers from ≥15%
 //     datagram loss (seeded — the failure message is the repro line);
+//   * the receive drain: PIF sessions stay under a datagram budget, and a
+//     flood of framed traffic into one node does not starve its ticks;
 //   * the fault engine: a compiled FaultPlan drives the receive-side
 //     drop/duplicate/LinkDown filter and framed garbage datagrams, and
 //     after the storm ceases fresh sessions complete (the
@@ -447,6 +449,82 @@ TEST(SocketLoopback, RecoversFromInjectedDatagramLoss) {
   for (const auto& s : sessions)
     EXPECT_TRUE(client.result(s).completed)
         << svc::service_name(s.key.service) << " repro: seed=" << kSeed;
+}
+
+TEST(SocketLoopback, PifSessionsDoNotFloodTheWire) {
+  // Each activation drains its socket, so a retransmission is read before
+  // the next one piles up behind it: about 40 datagrams carry a PIF
+  // session on complete(3). A receive loop that reads fewer frames per
+  // activation than a tick and its echoes send fills the kernel buffer with
+  // stale frames and needs about 3,000.
+  const int n = 3;
+  net::SocketRuntime srt(n, {.seed = 606});
+  for (int p = 0; p < n; ++p)
+    srt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+  svc::Client client(srt);
+  const int kRounds = 10;
+  int sessions = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    std::vector<svc::Session> round;
+    for (int p = 0; p < n; ++p)
+      round.push_back(
+          client.submit(p, svc::PifBroadcast{Value::integer(r * n + p)}));
+    ASSERT_TRUE(client.run_until(round, {.timeout = 30'000ms}))
+        << "round " << r;
+    for (const auto& s : round) {
+      EXPECT_TRUE(client.result(s).completed);
+      client.release(s);
+    }
+    sessions += n;
+  }
+  srt.shutdown();
+  const double per_session =
+      static_cast<double>(srt.wire_stats().datagrams_sent) / sessions;
+  EXPECT_LT(per_session, 250.0) << "datagrams per PIF session";
+}
+
+TEST(SocketLoopback, PifCompletesWhileNodeZeroIsFlooded) {
+  // A side thread floods node 0's in-edges with well-formed frames of
+  // baseline traffic the PIF host ignores, for as long as the request
+  // runs. Draining must not cost node 0 its ticks: its own retransmissions
+  // still finish the broadcast. One sender cannot outpace recv on
+  // loopback, so the per-activation bound itself is pinned by
+  // LiveRuntimeLoop.AFloodCannotStarveTheTick (test_runtime.cpp), whose
+  // transport never runs dry.
+  const int n = 3;
+  net::SocketRuntime srt(n, {.seed = 707});
+  for (int p = 0; p < n; ++p)
+    srt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+  srt.start();
+
+  std::atomic<bool> flooding{true};
+  std::atomic<std::uint64_t> injected{0};
+  std::thread flooder([&srt, &flooding, &injected, n] {
+    ScopedStringPool scope(srt.string_pool());
+    const sim::Topology& topo = srt.topology();
+    for (std::int64_t i = 0; flooding.load(); ++i) {
+      const sim::EdgeId e = topo.in_edge(0, static_cast<int>(i % (n - 1)));
+      if (srt.inject(e, Message::naive_brd(Value::integer(i))))
+        injected.fetch_add(1);
+    }
+  });
+
+  srt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
+    p.pif().request(Value::text("under the flood"));
+    return 0;
+  });
+  const bool done = srt.run(
+      [&srt] {
+        return srt.with_process<core::PifProcess>(
+            0, [](core::PifProcess& p) { return p.pif().done(); });
+      },
+      30'000ms);
+  flooding.store(false);
+  flooder.join();
+  srt.shutdown();
+  EXPECT_TRUE(done) << "the flood starved node 0";
+  EXPECT_GT(injected.load(), 0u);
+  EXPECT_EQ(srt.wire_stats().rejected_frames, 0u);  // garbage, but framed
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 // interning (the ThreadRuntime shares one pool across node threads).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,21 @@ TEST(StringPool, InterningIsInjectivePerPool) {
   EXPECT_NE(a1, b);
   EXPECT_EQ(pool.str(a1), "alpha");
   EXPECT_EQ(pool.str(b), "beta");
+}
+
+TEST(StringPool, IdsStayDenseAndStableAsTheIndexGrows) {
+  // Enough strings to regrow the index many times: ids are handed out in
+  // first-sight order and every one still resolves both ways.
+  StringPool pool;
+  constexpr StrId kStrings = 20000;
+  for (StrId i = 1; i <= kStrings; ++i)
+    ASSERT_EQ(pool.intern("k" + std::to_string(i)), i);
+  EXPECT_EQ(pool.size(), std::size_t{kStrings} + 1);
+  for (StrId i = 1; i <= kStrings; ++i) {
+    ASSERT_EQ(pool.intern("k" + std::to_string(i)), i);
+    ASSERT_EQ(pool.str(i), "k" + std::to_string(i));
+  }
+  EXPECT_EQ(pool.intern(""), StrId{0});
 }
 
 TEST(StringPool, IdZeroIsTheEmptyStringAndOutOfRangeResolvesEmpty) {
