@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp_common.hpp"
@@ -153,7 +152,13 @@ GarbageStats run_garbage(int n, int bursts, std::uint64_t seed) {
   svc::Client client(srt);
   const auto s = client.submit(0, svc::PifBroadcast{Value::text("alive")});
   g.session_survived = client.run_until(s, {.timeout = 30'000ms});
-  std::this_thread::sleep_for(50ms);  // let the drain swallow the backlog
+  // Let the drain swallow the hostile backlog.
+  srt.run(
+      [&srt, &g] {
+        return srt.wire_stats().rejected_frames >=
+               static_cast<std::uint64_t>(g.injected);
+      },
+      10'000ms);
   srt.shutdown();
   g.rejected = srt.wire_stats().rejected_frames;
   return g;

@@ -137,6 +137,9 @@ void Runtime::thread_main(Node& node) {
       }
       if (proc.tick_enabled()) proc.on_tick(ctx);
     }
+    // Relaxed: a node that misses a just-registered waiter notifies it at
+    // its next activation.
+    if (waiters_.load(std::memory_order_relaxed) > 0) notify_progress();
     std::this_thread::sleep_for(kActivationPause);
   }
 }
@@ -157,15 +160,37 @@ bool Runtime::run(const std::function<bool()>& done,
   if (stop_.load(std::memory_order_acquire)) return done();
   start();
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (done()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  waiters_.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t seen;
+  {
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    seen = progress_epoch_;
   }
-  return done();
+  // `seen` is taken before each evaluation, so an activation that ends
+  // while done() runs makes the next wait return at once.
+  bool held;
+  while (!(held = done())) {
+    std::unique_lock<std::mutex> lock(progress_mu_);
+    const bool moved = progress_cv_.wait_until(
+        lock, deadline, [&] { return progress_epoch_ != seen; });
+    if (!moved || stop_.load(std::memory_order_acquire)) break;
+    seen = progress_epoch_;
+  }
+  waiters_.fetch_sub(1, std::memory_order_relaxed);
+  return held || done();
+}
+
+void Runtime::notify_progress() {
+  {
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    ++progress_epoch_;
+  }
+  progress_cv_.notify_all();
 }
 
 void Runtime::shutdown() {
   stop_.store(true, std::memory_order_release);
+  notify_progress();  // a blocked run() returns at once
   for (auto& node : nodes_)
     if (node->thread.joinable()) node->thread.join();
 }

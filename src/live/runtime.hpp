@@ -8,7 +8,8 @@
 //   * the node-thread loop: unless the process is busy in its critical
 //     section, receive until the transport reports nothing pending (at
 //     most kMaxReceivesPerActivation attempts, or one pass over a node's
-//     in-channels if it has more), then on_tick, then a fixed pause;
+//     in-channels if it has more), then on_tick, then a progress
+//     notification if a run() caller waits, then a fixed pause;
 //   * the receive-side fault filter between the transport and dispatch:
 //     the `loss_rate` option plus per-edge drop, duplicate and down, drawn
 //     from a per-node filter RNG separate from the protocol RNG (the filter
@@ -17,8 +18,11 @@
 //     order, and bounded: a ring keeping the newest
 //     kObservationLogCapacity entries;
 //   * one persistent lifecycle: start() spawns the node threads, run()
-//     polls a predicate, shutdown() joins. The threads keep serving across
-//     run() calls, so a timed-out await can simply be awaited again.
+//     waits for a predicate, shutdown() joins. The threads keep serving
+//     across run() calls, so a timed-out await can simply be awaited again.
+//     run() re-evaluates its predicate only when it could have changed:
+//     every activation ends by bumping a progress epoch while a run() caller
+//     is waiting, and shutdown() wakes a blocked run() at once.
 //
 // A transport subclass supplies the three-call seam: send(node, edge, m),
 // receive(node, k) and inject(edge, m). runtime::ThreadRuntime carries
@@ -35,6 +39,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -82,9 +87,10 @@ class Runtime {
 
   // Spawns the node threads (idempotent; run() calls it on demand).
   void start();
-  // Polls `done()` every millisecond until it holds or `timeout` elapses;
+  // Evaluates `done()` now and again after every node activation, until it
+  // holds, `timeout` elapses or shutdown() is called (from any thread);
   // returns whether it held. The threads keep serving afterwards. After
-  // shutdown() no progress is possible and run() polls once.
+  // shutdown() no progress is possible and run() evaluates `done()` once.
   bool run(const std::function<bool()>& done,
            std::chrono::milliseconds timeout);
   // Stops and joins the node threads. Idempotent.
@@ -180,6 +186,8 @@ class Runtime {
 
   Node& local(int p);
   void thread_main(Node& node);
+  // Bumps the progress epoch and wakes every waiting run().
+  void notify_progress();
   // The fault filter, then dispatch (and a filter duplicate).
   void deliver(Node& node, sim::Context& ctx, sim::EdgeId e,
                const Message& m);
@@ -193,6 +201,13 @@ class Runtime {
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_{false};
+
+  // The progress epoch run() waits on: bumped after every activation while
+  // `waiters_` (the run() calls in progress) is non-zero, and by shutdown().
+  std::mutex progress_mu_;
+  std::condition_variable progress_cv_;
+  std::uint64_t progress_epoch_ = 0;  // guarded by progress_mu_
+  std::atomic<int> waiters_{0};
 
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> loss_drops_{0};

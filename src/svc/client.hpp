@@ -18,11 +18,12 @@
 //     session-completion stop predicate; StopPolicy{check_every} amortizes
 //     the check for bulk runs). Everything is deterministic and adds no RNG
 //     draws — a session-driven world replays bit-identically.
-//   * live::Runtime: submissions lock the target node; await_all polls,
-//     then maps onto Runtime::run with the same completion predicate. The
-//     node threads keep serving between awaits, so a timed-out batch can
-//     simply be awaited again with more budget; only shutdown() makes the
-//     runtime terminal.
+//   * live::Runtime: submissions lock the target node; await_all checks
+//     the batch once, then maps onto Runtime::run with the same completion
+//     predicate, which re-checks it after every node activation (no timer
+//     poll). The node threads keep serving between awaits, so a timed-out
+//     batch can simply be awaited again with more budget; only shutdown()
+//     makes the runtime terminal (and wakes a blocked await at once).
 #ifndef SNAPSTAB_SVC_CLIENT_HPP
 #define SNAPSTAB_SVC_CLIENT_HPP
 

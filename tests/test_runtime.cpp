@@ -1,7 +1,8 @@
 // test_runtime.cpp — the thread runtime: the same protocol objects under
 // real concurrency, bounded lossy mailboxes and the binary wire format;
 // plus the live::Runtime properties both transports share (the observation
-// log, and the per-activation receive bound against a flooding transport).
+// log, the event-driven run() and its wake-up on shutdown, and the
+// per-activation receive bound against a flooding transport).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <thread>
 
 #include "core/stack.hpp"
 #include "fault/plan.hpp"
@@ -270,6 +272,26 @@ TEST(RuntimeInjector, StormCeasesAndFreshRequestCompletes) {
 // live::Runtime properties, on both transports.
 // ---------------------------------------------------------------------------
 
+// Counts activations: its tick is always enabled, so every activation of
+// its node calls on_tick once. `work` makes each activation that long.
+class TickCounter final : public sim::Process {
+ public:
+  explicit TickCounter(std::atomic<int>& ticks,
+                       std::chrono::microseconds work = 0us)
+      : ticks_(ticks), work_(work) {}
+  void on_tick(sim::Context&) override {
+    if (work_ > 0us) std::this_thread::sleep_for(work_);
+    ticks_.fetch_add(1);
+  }
+  void on_message(sim::Context&, int, const Message&) override {}
+  bool tick_enabled() const override { return true; }
+  void randomize(Rng&) override {}
+
+ private:
+  std::atomic<int>& ticks_;
+  std::chrono::microseconds work_;
+};
+
 class LiveRuntime : public ::testing::TestWithParam<test::Transport> {};
 
 TEST_P(LiveRuntime, ObservationsAreMonotonic) {
@@ -346,6 +368,60 @@ TEST_P(LiveRuntime, ObservationLogWrapsAtCapacity) {
     EXPECT_EQ(obs[i].step, recorded - cap + i) << "at " << i;
 }
 
+TEST_P(LiveRuntime, ShutdownWakesABlockedRun) {
+  // A never-true await, and a second thread that shuts the runtime down
+  // once the await has evaluated its predicate: run() must give up at
+  // once, not at its own timeout.
+  const int n = 3;
+  std::atomic<int> ticks{0};
+  auto rt = test::make_live(GetParam(), n, 29);
+  for (int i = 0; i < n; ++i)
+    rt->add_process(std::make_unique<TickCounter>(ticks));
+  std::atomic<bool> evaluated{false};
+  std::thread stopper([&] {
+    while (!evaluated.load()) std::this_thread::yield();
+    rt->shutdown();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool ok = rt->run(
+      [&evaluated] {
+        evaluated.store(true);
+        return false;
+      },
+      30s);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  stopper.join();
+  EXPECT_FALSE(ok);
+  EXPECT_FALSE(rt->running());
+  EXPECT_LT(waited, 5s) << "run() ignored the concurrent shutdown()";
+}
+
+TEST_P(LiveRuntime, RunReevaluatesOnlyOnProgress) {
+  // Each activation takes 10 ms, so two nodes make about 20 activations in
+  // the 100 ms await. The predicate may be evaluated once up front, once
+  // per activation and once at the deadline; a timer poll would exceed
+  // that (a 1 ms poll evaluates it about 100 times).
+  const int n = 2;
+  std::atomic<int> ticks{0};
+  auto rt = test::make_live(GetParam(), n, 31);
+  for (int i = 0; i < n; ++i)
+    rt->add_process(std::make_unique<TickCounter>(ticks, 10ms));
+  int evaluations = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool ok = rt->run(
+      [&evaluations] {
+        ++evaluations;
+        return false;
+      },
+      100ms);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  rt->shutdown();
+  EXPECT_FALSE(ok);
+  EXPECT_GE(waited, 100ms) << "run() returned before its deadline";
+  EXPECT_GT(ticks.load(), 0);
+  EXPECT_LE(evaluations, ticks.load() + 2);
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, LiveRuntime, test::kTransports,
                          test::transport_name);
 
@@ -372,18 +448,6 @@ class FloodTransport final : public live::Runtime {
     in.more = flooding.load();
     return in;
   }
-};
-
-class TickCounter final : public sim::Process {
- public:
-  explicit TickCounter(std::atomic<int>& ticks) : ticks_(ticks) {}
-  void on_tick(sim::Context&) override { ticks_.fetch_add(1); }
-  void on_message(sim::Context&, int, const Message&) override {}
-  bool tick_enabled() const override { return true; }
-  void randomize(Rng&) override {}
-
- private:
-  std::atomic<int>& ticks_;
 };
 
 TEST(LiveRuntimeLoop, AFloodCannotStarveTheTick) {

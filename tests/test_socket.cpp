@@ -399,9 +399,13 @@ TEST(SocketLoopback, CorruptDatagramsAreCountedAndDropped) {
             0, [](core::PifProcess& p) { return p.pif().done(); });
       },
       30'000ms);
-  // Give the drain loops a moment to swallow any remaining hostile
-  // backlog, then stop.
-  std::this_thread::sleep_for(50ms);
+  // Let the drain loops swallow any remaining hostile backlog, then stop.
+  srt.run(
+      [&srt] {
+        return srt.wire_stats().rejected_frames >=
+               static_cast<std::uint64_t>(kNoise + kCorrupt);
+      },
+      10'000ms);
   srt.shutdown();
   ASSERT_TRUE(done);
 
