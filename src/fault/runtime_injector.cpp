@@ -32,14 +32,18 @@ RuntimeInjector::~RuntimeInjector() { stop(); }
 void RuntimeInjector::start() {
   SNAPSTAB_CHECK_MSG(!thread_.joinable(), "injector already started");
   if (plan_->empty()) {
-    done_.store(true, std::memory_order_release);
+    finish();
     return;
   }
   thread_ = std::thread([this] { thread_main(); });
 }
 
 void RuntimeInjector::stop() {
-  stop_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
   if (thread_.joinable()) thread_.join();
   // Filters persist until cleared; an early stop() must still mean "the
   // fault has ceased", so disarm whatever windows were mid-flight.
@@ -69,6 +73,20 @@ void RuntimeInjector::garbage(sim::EdgeId e) {
                                    rng_, plan_->flag_limit(), fwd_n)
                              : Message::random(rng_, plan_->flag_limit()));
   ++counters_.garbage_bursts;
+}
+
+bool RuntimeInjector::wait_done(std::chrono::milliseconds timeout) {
+  std::unique_lock<std::mutex> lock(mu_);
+  return cv_.wait_for(lock, timeout, [this] { return done(); });
+}
+
+void RuntimeInjector::finish() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    done_.store(true, std::memory_order_release);
+  }
+  cv_.notify_all();
+  rt_->notify_progress();
 }
 
 // Filter windows are re-asserted every poll (cheap atomic stores), so
@@ -128,9 +146,10 @@ void RuntimeInjector::thread_main() {
   const auto& windows = plan_->windows();
   std::size_t cursor = 0;
   std::vector<std::uint32_t> active;
-  while (!stop_.load(std::memory_order_acquire)) {
-    const std::uint64_t now_step = static_cast<std::uint64_t>(
-        (std::chrono::steady_clock::now() - epoch) / options_.step_duration);
+  for (;;) {
+    const auto now = std::chrono::steady_clock::now();
+    const auto now_step =
+        static_cast<std::uint64_t>((now - epoch) / options_.step_duration);
     while (cursor < events.size() && events[cursor].step <= now_step) {
       const FaultPlan::Event ev = events[cursor++];
       if (ev.open) {
@@ -145,9 +164,18 @@ void RuntimeInjector::thread_main() {
     for (const std::uint32_t idx : active)
       apply_window(windows[idx], Phase::Hold);
     if (cursor >= events.size() && active.empty()) break;
-    std::this_thread::sleep_for(options_.poll_interval);
+    // Sleep until the next event boundary; an open window also wakes the
+    // thread every poll_interval to re-assert itself.
+    auto wake_at = now + options_.poll_interval;
+    if (cursor < events.size()) {
+      const auto step = static_cast<std::int64_t>(events[cursor].step);
+      const auto next = epoch + options_.step_duration * step;
+      wake_at = active.empty() ? next : std::min(wake_at, next);
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    if (cv_.wait_until(lock, wake_at, [this] { return stop_; })) break;
   }
-  done_.store(true, std::memory_order_release);
+  finish();
 }
 
 }  // namespace snapstab::fault

@@ -13,6 +13,11 @@
 //   * EdgeLoss / EdgeDuplicate / LinkDown / LinkPartition — the runtime's
 //     receive-side per-edge filter: rates armed when a window opens,
 //     re-asserted every poll, cleared when it closes.
+// The thread sleeps on a condition variable until the plan's next event
+// (a window opening or closing), waking every `poll_interval` only while a
+// window is open; stop() wakes it at once. When the last window has closed
+// it notifies the runtime's progress, so a run() predicate waiting for
+// done() is re-evaluated even if every node is idle.
 // Unlike the simulator path this is NOT replayable bit-for-bit (the whole
 // runtime is racy by design); what it preserves is the fault *schedule* and
 // the recovery contract under test: after stop() the fault has ceased and
@@ -24,7 +29,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 
@@ -38,6 +45,8 @@ struct RuntimeInjectorOptions {
   // Wall-clock length of one plan step: a window [b, e) runs from
   // b*step_duration to e*step_duration after start().
   std::chrono::microseconds step_duration{50};
+  // How often an open window is re-asserted (crash scrambles, garbage
+  // bursts, filter rates); no polling happens between windows.
   std::chrono::milliseconds poll_interval{2};
 };
 
@@ -63,6 +72,8 @@ class RuntimeInjector {
   // True once every window span has elapsed (the thread exits on its own;
   // stop() is still required before destruction to join it).
   bool done() const noexcept { return done_.load(std::memory_order_acquire); }
+  // Blocks until done() or `timeout`; returns done().
+  bool wait_done(std::chrono::milliseconds timeout);
 
   struct Counters {
     std::uint64_t crashes = 0;
@@ -81,6 +92,8 @@ class RuntimeInjector {
   enum class Phase : std::uint8_t { Open, Hold, Close };
 
   void thread_main();
+  // Sets done_ and wakes wait_done() callers and run() predicates.
+  void finish();
   void apply_window(const FaultWindow& w, Phase phase);
   void crash(sim::ProcessId p);
   void garbage(sim::EdgeId e);
@@ -91,7 +104,11 @@ class RuntimeInjector {
   Rng rng_;
   std::unordered_map<int, ::pid_t> node_pids_;
   std::thread thread_;
-  std::atomic<bool> stop_{false};
+  // stop_ and done_ change under mu_, so a wait on cv_ cannot miss them;
+  // done_ is atomic for the lock-free done().
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
   std::atomic<bool> done_{false};
   Counters counters_{};
 };

@@ -1,7 +1,13 @@
 #include "live/runtime.hpp"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <sys/prctl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstddef>
+#include <ctime>
 #include <utility>
 
 #include "common/check.hpp"
@@ -57,6 +63,8 @@ Runtime::Runtime(const sim::Topology& topology, std::uint64_t seed,
     node->rng = seeder.fork(static_cast<std::uint64_t>(p) + 1);
     node->filter_rng =
         Rng(seed ^ 0x50CE7F17ull).fork(static_cast<std::uint64_t>(p));
+    node->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK | EFD_SEMAPHORE);
+    SNAPSTAB_CHECK_MSG(node->wake_fd >= 0, "eventfd failed");
     slot_[static_cast<std::size_t>(p)] = static_cast<int>(nodes_.size());
     nodes_.push_back(std::move(node));
   }
@@ -64,7 +72,10 @@ Runtime::Runtime(const sim::Topology& topology, std::uint64_t seed,
       static_cast<std::size_t>(topology_.edge_count()));
 }
 
-Runtime::~Runtime() { shutdown(); }
+Runtime::~Runtime() {
+  shutdown();
+  for (const auto& node : nodes_) ::close(node->wake_fd);
+}
 
 bool Runtime::hosts(int node) const noexcept {
   return node >= 0 && node < process_count() &&
@@ -87,21 +98,21 @@ void Runtime::add_process(std::unique_ptr<sim::Process> p) {
   SNAPSTAB_CHECK_MSG(false, "more processes than hosted nodes");
 }
 
-void Runtime::deliver(Node& node, sim::Context& ctx, sim::EdgeId e,
+bool Runtime::deliver(Node& node, sim::Context& ctx, sim::EdgeId e,
                       const Message& m) {
   const EdgeFault& fault = edge_faults_[static_cast<std::size_t>(e)];
   if (fault.down.load(std::memory_order_relaxed)) {
     down_drops_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
   if (loss_rate_ > 0.0 && node.filter_rng.chance(loss_rate_)) {
     loss_drops_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
   const double drop = fault.drop.load(std::memory_order_relaxed);
   if (drop > 0.0 && node.filter_rng.chance(drop)) {
     filter_drops_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return false;
   }
   sim::Process& proc = *node.process;
   const int ch = topology_.edge_index_at_dst(e);
@@ -113,36 +124,85 @@ void Runtime::deliver(Node& node, sim::Context& ctx, sim::EdgeId e,
     delivered_.fetch_add(1, std::memory_order_relaxed);
     filter_duplicates_.fetch_add(1, std::memory_order_relaxed);
   }
+  return true;
 }
 
 void Runtime::thread_main(Node& node) {
+  using Clock = std::chrono::steady_clock;
   // Every node thread interns into the runtime's shared (thread-safe) pool.
   ScopedStringPool pool_scope(*pool_);
+  // The default 50 us timer slack would stretch every 20 us timeout.
+  ::prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);
   NodeContext backend(*this, node);
   sim::Context ctx(backend);
   // Never less than one pass over the node's in-channels.
   const int budget =
       std::max(topology_.degree(node.id), kMaxReceivesPerActivation);
-  while (!stop_.load(std::memory_order_relaxed)) {
+  pollfd fds[2] = {{node.wake_fd, POLLIN, 0}, {ready_fd(node.id), POLLIN, 0}};
+  std::chrono::microseconds period = kRetransmitPeriod;
+  Clock::time_point due{};  // a tick enabled from idle runs at once
+  while (!stop_.load(std::memory_order_acquire)) {
+    bool pending = false;  // the budget ran out with input still queued
+    bool timed = false;    // the node needs the timer (tick or busy)
+    bool busy = false;
     {
       std::lock_guard<std::mutex> lock(node.mu);
       sim::Process& proc = *node.process;
       // Receive until the transport has nothing pending, within the budget;
       // a process busy in its critical section receives nothing and its
       // channels keep the backlog.
+      bool delivered = false;
       for (int k = 0; k < budget && !proc.busy(); ++k) {
         const Inbound in = receive(node.id, k);
-        if (in.edge >= 0) deliver(node, ctx, in.edge, in.message);
+        if (in.edge >= 0 && deliver(node, ctx, in.edge, in.message))
+          delivered = true;
+        pending = in.more;
         if (!in.more) break;
       }
-      if (proc.tick_enabled()) proc.on_tick(ctx);
+      const Clock::time_point now = Clock::now();
+      if (delivered) {
+        period = kRetransmitPeriod;
+        due = std::min(due, now + period);
+      }
+      busy = proc.busy();
+      timed = busy || proc.tick_enabled();
+      // Nothing to resend: the next enabled tick starts a fresh timer.
+      if (!timed) period = kRetransmitPeriod;
+      if (timed && now >= due) {
+        if (proc.tick_enabled()) proc.on_tick(ctx);
+        due = now + period;
+        period = std::min(2 * period, kRetransmitPeriodCap);
+      }
     }
     // Relaxed: a node that misses a just-registered waiter notifies it at
     // its next activation.
     if (waiters_.load(std::memory_order_relaxed) > 0) notify_progress();
-    std::this_thread::sleep_for(kActivationPause);
+    if (pending) continue;
+    timespec timeout{};
+    if (timed) {
+      const auto left = std::max(due - Clock::now(), Clock::duration::zero());
+      const auto ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+      timeout.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+      timeout.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+    }
+    // A busy node leaves its transport unwatched: the input it may not
+    // read would keep the descriptor readable and the loop spinning.
+    const nfds_t watched = busy || fds[1].fd < 0 ? 1 : 2;
+    if (::ppoll(fds, watched, timed ? &timeout : nullptr, nullptr) > 0 &&
+        (fds[0].revents & POLLIN) != 0) {
+      std::uint64_t count = 0;
+      (void)!::read(node.wake_fd, &count, sizeof count);
+    }
   }
 }
+
+void Runtime::signal(const Node& node) {
+  const std::uint64_t one = 1;
+  (void)!::write(node.wake_fd, &one, sizeof one);
+}
+
+void Runtime::wake(int node) { signal(local(node)); }
 
 void Runtime::start() {
   if (started_.exchange(true, std::memory_order_acq_rel)) return;
@@ -191,6 +251,7 @@ void Runtime::notify_progress() {
 void Runtime::shutdown() {
   stop_.store(true, std::memory_order_release);
   notify_progress();  // a blocked run() returns at once
+  for (const auto& node : nodes_) signal(*node);
   for (auto& node : nodes_)
     if (node->thread.joinable()) node->thread.join();
 }

@@ -5,11 +5,21 @@
 // executes them under genuine concurrency. Everything that does not depend
 // on how bytes travel lives here, once:
 //   * the node table and the per-node Context backend;
-//   * the node-thread loop: unless the process is busy in its critical
-//     section, receive until the transport reports nothing pending (at
-//     most kMaxReceivesPerActivation attempts, or one pass over a node's
-//     in-channels if it has more), then on_tick, then a progress
-//     notification if a run() caller waits, then a fixed pause;
+//   * the node-thread loop, driven by readiness and one retransmission
+//     timer instead of a fixed pause. A node thread blocks in ppoll() on
+//     its wake eventfd and the transport's ready_fd(), with the timer's
+//     deadline as the timeout. Each activation, unless the process is busy
+//     in its critical section, receives until the transport reports nothing
+//     pending (at most kMaxReceivesPerActivation attempts, or one pass over
+//     a node's in-channels if it has more); then, only if the timer is due,
+//     on_tick — the paper's PIF resends its flag until acknowledged, and
+//     that resend is this timeout. The period starts at kRetransmitPeriod,
+//     doubles after every tick without a delivery since the one before, up
+//     to kRetransmitPeriodCap, and any delivery resets it. A node whose tick
+//     is disabled and which is not busy waits with no timeout at all; one
+//     busy in its critical section waits for the timer without watching the
+//     transport (its input stays queued). An activation ends with a
+//     progress notification if a run() caller waits;
 //   * the receive-side fault filter between the transport and dispatch:
 //     the `loss_rate` option plus per-edge drop, duplicate and down, drawn
 //     from a per-node filter RNG separate from the protocol RNG (the filter
@@ -18,22 +28,28 @@
 //     order, and bounded: a ring keeping the newest
 //     kObservationLogCapacity entries;
 //   * one persistent lifecycle: start() spawns the node threads, run()
-//     waits for a predicate, shutdown() joins. The threads keep serving
-//     across run() calls, so a timed-out await can simply be awaited again.
-//     run() re-evaluates its predicate only when it could have changed:
-//     every activation ends by bumping a progress epoch while a run() caller
-//     is waiting, and shutdown() wakes a blocked run() at once.
+//     waits for a predicate, shutdown() wakes every node and joins. The
+//     threads keep serving across run() calls, so a timed-out await can
+//     simply be awaited again. run() re-evaluates its predicate only when it
+//     could have changed: every activation ends by bumping a progress epoch
+//     while a run() caller is waiting, and shutdown() wakes a blocked run()
+//     at once. A predicate over state outside the runtime (an injector's
+//     schedule, say) needs whoever changes that state to call
+//     notify_progress(): idle nodes make no activations.
 //
-// A transport subclass supplies the three-call seam: send(node, edge, m),
-// receive(node, k) and inject(edge, m). runtime::ThreadRuntime carries
-// messages in bounded in-process mailboxes (the paper's bounded-capacity
-// channel); net::SocketRuntime carries them as UDP datagrams through the
-// kernel (its unbounded lossy channel).
+// A transport subclass supplies the seam: send(node, edge, m),
+// receive(node, k), inject(edge, m), and how a node learns of input.
+// runtime::ThreadRuntime carries messages in bounded in-process mailboxes
+// (the paper's bounded-capacity channel) and calls wake(node) after each
+// accepted push; net::SocketRuntime carries them as UDP datagrams through
+// the kernel (its unbounded lossy channel), and its ready_fd(node) is the
+// node's socket.
 //
 // Concurrency discipline: a process's state is touched only under its node
 // mutex — by its own thread during an activation, or by with_process() /
-// the run() predicate from the driving thread. Filter rates are atomics the
-// fault injector flips while the node threads run.
+// the run() predicate from the driving thread. with_process() wakes the
+// node when `f` enables its tick. Filter rates are atomics the fault
+// injector flips while the node threads run.
 #ifndef SNAPSTAB_LIVE_RUNTIME_HPP
 #define SNAPSTAB_LIVE_RUNTIME_HPP
 
@@ -56,9 +72,12 @@
 
 namespace snapstab::live {
 
-// Pause between consecutive activations of one node thread; keeps an idle
-// node from spinning a core.
-inline constexpr std::chrono::microseconds kActivationPause{20};
+// The retransmission timer: a node whose tick is enabled runs on_tick this
+// long after its previous tick, and at most this long after a delivery...
+inline constexpr std::chrono::microseconds kRetransmitPeriod{20};
+// ...doubling after each tick that saw no delivery, up to this cap, which
+// bounds the resends a node aims at a stalled peer.
+inline constexpr std::chrono::microseconds kRetransmitPeriodCap{640};
 
 // Receive attempts one activation may make before on_tick runs. A transport
 // ends the loop sooner once it has nothing pending; the bound keeps a
@@ -100,14 +119,21 @@ class Runtime {
            !stop_.load(std::memory_order_acquire);
   }
 
-  // Executes `f` on hosted node `p` (cast to T) under its node lock. Safe
-  // from the run() predicate and after shutdown().
+  // Executes `f` on hosted node `p` (cast to T) under its node lock, and
+  // wakes the node if `f` enabled its tick (a submission, a crash-restart).
+  // Safe from the run() predicate and after shutdown().
   template <typename T, typename F>
   auto with_process(int p, F&& f) {
     Node& node = local(p);
     std::lock_guard<std::mutex> lock(node.mu);
+    const WakeIfTickEnabled guard{*this, node};
     return f(dynamic_cast<T&>(*node.process));
   }
+
+  // Bumps the progress epoch and wakes every waiting run(). Node
+  // activations do this themselves; call it after changing state outside
+  // the runtime that a run() predicate reads.
+  void notify_progress();
 
   // The retained window of the observation stream (at most
   // kObservationLogCapacity entries), oldest first. Its size never shrinks.
@@ -167,10 +193,18 @@ class Runtime {
   // Receive attempt `k` of one activation, k = 0, 1, ... until an Inbound
   // says `more` is false (or the per-activation bound is reached).
   virtual Inbound receive(int node, int k) = 0;
+  // A descriptor that polls readable while node `node` has input pending,
+  // or -1 if the transport calls wake() for each message instead.
+  virtual int ready_fd(int /*node*/) const { return -1; }
+
+  // Signals hosted node `node` that input arrived: its thread runs one more
+  // activation. Thread-safe.
+  void wake(int node);
 
  private:
   struct Node {
     int id = -1;
+    int wake_fd = -1;  // semaphore eventfd: one activation per signal
     std::mutex mu;
     std::unique_ptr<sim::Process> process;
     std::thread thread;
@@ -184,12 +218,23 @@ class Runtime {
   };
   class NodeContext;
 
+  // with_process()'s wake: signals the node if its tick went from disabled
+  // to enabled while the guard lived.
+  struct WakeIfTickEnabled {
+    Runtime& rt;
+    Node& node;
+    const bool was_enabled = node.process->tick_enabled();
+    ~WakeIfTickEnabled() {
+      if (!was_enabled && node.process->tick_enabled()) rt.signal(node);
+    }
+  };
+
   Node& local(int p);
   void thread_main(Node& node);
-  // Bumps the progress epoch and wakes every waiting run().
-  void notify_progress();
-  // The fault filter, then dispatch (and a filter duplicate).
-  void deliver(Node& node, sim::Context& ctx, sim::EdgeId e,
+  static void signal(const Node& node);
+  // The fault filter, then dispatch (and a filter duplicate). Returns
+  // whether on_message ran.
+  bool deliver(Node& node, sim::Context& ctx, sim::EdgeId e,
                const Message& m);
 
   sim::Topology topology_;

@@ -66,12 +66,15 @@ StrId StringPool::intern(std::string_view s) {
   const std::size_t h = std::hash<std::string_view>{}(s);
   {
     std::shared_lock lock(mu_);
-    const StrId id = find(s, h);
+    StrId id = find(s, h);
+    // A full pool stays full: no exclusive lock for overflowing text.
+    if (id == kNotFound && strings_.size() == kCapacity) id = overflow();
     if (id != kNotFound) return id;
   }
   std::unique_lock lock(mu_);
   const StrId found = find(s, h);  // re-check: another thread may have won
   if (found != kNotFound) return found;
+  if (strings_.size() == kCapacity) return overflow();
   const StrId id = static_cast<StrId>(strings_.size());
   strings_.emplace_back(s);
   if (2 * strings_.size() > slots_.size()) {
@@ -82,6 +85,11 @@ StrId StringPool::intern(std::string_view s) {
     place(id, h);
   }
   return id;
+}
+
+StrId StringPool::overflow() noexcept {
+  overflowed_.fetch_add(1, std::memory_order_relaxed);
+  return kOverflow;
 }
 
 const std::string& StringPool::str(StrId id) const noexcept {

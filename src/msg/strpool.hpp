@@ -18,7 +18,13 @@
 //     worker its own pool; the parallel trial harness runs one Simulator +
 //     one pool per worker thread, so workers never contend.
 //   - Pools are append-only and never shrink: a StrId (and the reference
-//     returned by str()) stays valid for the pool's lifetime. Values must
+//     returned by str()) stays valid for the pool's lifetime.
+//   - Pools are bounded: past StringPool::kCapacity strings, every new text
+//     maps to the one reserved id kOverflow (resolving to "") and is
+//     counted in overflowed(). Text decoded from a hostile wire therefore
+//     costs no memory once the pool is full; this is sound under
+//     snap-stabilization, because garbage content is arbitrary anyway, and
+//     the counter shows a legitimate payload that hits the cap. Values must
 //     only be compared / resolved against the pool they were interned in —
 //     crossing pools crosses id spaces. Cross-thread transport goes through
 //     the codec, which resolves StrId ↔ bytes at the boundary.
@@ -28,6 +34,8 @@
 #ifndef SNAPSTAB_MSG_STRPOOL_HPP
 #define SNAPSTAB_MSG_STRPOOL_HPP
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <shared_mutex>
@@ -45,22 +53,33 @@ inline const std::string kEmptyText{};
 
 class StringPool {
  public:
+  // Distinct strings a pool holds, "" included; ids run 0 .. kCapacity-1.
+  static constexpr std::size_t kCapacity = 4096;
+  // The id every text first seen in a full pool gets.
+  static constexpr StrId kOverflow = kCapacity;
+
   StringPool();  // pre-interns "" as id 0
   ~StringPool();
 
   StringPool(const StringPool&) = delete;
   StringPool& operator=(const StringPool&) = delete;
 
-  // Returns the id of `s`, interning it on first sight. Thread-safe.
+  // Returns the id of `s`, interning it on first sight; kOverflow when `s`
+  // is new and the pool is full. Thread-safe.
   StrId intern(std::string_view s);
 
-  // Resolves an id; out-of-range ids resolve to kEmptyText (defensive:
-  // a Value forged from raw bytes must not crash the resolver). The
-  // returned reference is stable for the pool's lifetime. Thread-safe.
+  // Resolves an id; out-of-range ids (kOverflow among them) resolve to
+  // kEmptyText (defensive: a Value forged from raw bytes must not crash the
+  // resolver). The returned reference is stable for the pool's lifetime.
+  // Thread-safe.
   const std::string& str(StrId id) const noexcept;
 
   // Number of distinct strings interned (including the empty string).
   std::size_t size() const noexcept;
+  // intern() calls answered with kOverflow.
+  std::uint64_t overflowed() const noexcept {
+    return overflowed_.load(std::memory_order_relaxed);
+  }
 
   // Process-unique id-space tag (never 0, never reused). A text Value
   // records the tag of the pool its StrId was minted in, which is what lets
@@ -85,15 +104,18 @@ class StringPool {
   StrId find(std::string_view s, std::size_t h) const noexcept;
   // Records `id` in the first free slot of its probe sequence.
   void place(StrId id, std::size_t h) noexcept;
+  // Counts one overflowing intern() and returns kOverflow.
+  StrId overflow() noexcept;
 
   static constexpr StrId kNotFound = ~StrId{0};
 
   const std::uint32_t tag_;
+  std::atomic<std::uint64_t> overflowed_{0};
   mutable std::shared_mutex mu_;
   std::deque<std::string> strings_;  // stable addresses, append-only
   // Open-addressing index into strings_: id + 1 per used slot, 0 free. A
   // power-of-two size kept at most half full; 4 bytes a slot instead of a
-  // hash-map node per string, since a pool only grows.
+  // hash-map node per string, since a pool only grows (to kCapacity).
   std::vector<StrId> slots_;
 };
 

@@ -131,6 +131,10 @@ SocketRuntime::Inbound SocketRuntime::receive(int node, int /*k*/) {
   return in;
 }
 
+int SocketRuntime::ready_fd(int node) const {
+  return sockets_[static_cast<std::size_t>(node)].fd;
+}
+
 bool SocketRuntime::inject_datagram(int dst_node, const void* data,
                                     std::size_t size) {
   SNAPSTAB_CHECK(dst_node >= 0 && dst_node < process_count());

@@ -19,10 +19,12 @@
 //     shared port table; a SIGKILLed process can rebind its port and
 //     rejoin, which is what the fault engine's process-kill path tests.
 //
-// Seam: send is one sendto; receive attempt k is one non-blocking recv,
-// then decode_frame (corrupt/truncated datagrams counted and dropped, never
-// delivered) and edge validation (must terminate here), after which the
-// shared fault filter decides. An activation drains the socket: it
+// Seam: send is one sendto; a node's ready_fd is its socket, so its thread
+// sleeps in ppoll until a datagram arrives or its retransmission timer is
+// due; receive attempt k is one non-blocking recv, then decode_frame
+// (corrupt/truncated datagrams counted and dropped, never delivered) and
+// edge validation (must terminate here), after which the shared fault
+// filter decides. An activation drains the socket: it
 // receives until recv finds it empty (within live::Runtime's
 // kMaxReceivesPerActivation), so stale retransmissions do not pile up in
 // the kernel buffer ahead of fresh frames. Datagrams a busy process leaves
@@ -101,6 +103,7 @@ class SocketRuntime final : public live::Runtime {
 
   bool send(int node, sim::EdgeId e, const Message& m) override;
   Inbound receive(int node, int k) override;
+  int ready_fd(int node) const override;
 
   std::vector<Socket> sockets_;            // node id -> its socket
   std::vector<std::uint16_t> port_table_;  // node id -> UDP port

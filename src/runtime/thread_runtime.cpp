@@ -35,7 +35,7 @@ const Mailbox& ThreadRuntime::mailbox(int src, int dst) const {
 }
 
 bool ThreadRuntime::send(int /*node*/, sim::EdgeId e, const Message& m) {
-  return mailboxes_[static_cast<std::size_t>(e)]->try_push(m);
+  return inject(e, m);
 }
 
 ThreadRuntime::Inbound ThreadRuntime::receive(int node, int k) {
@@ -50,7 +50,9 @@ ThreadRuntime::Inbound ThreadRuntime::receive(int node, int k) {
 }
 
 bool ThreadRuntime::inject(sim::EdgeId e, const Message& m) {
-  return mailboxes_[static_cast<std::size_t>(e)]->try_push(m);
+  if (!mailboxes_[static_cast<std::size_t>(e)]->try_push(m)) return false;
+  wake(topology().edge_dst(e));
+  return true;
 }
 
 }  // namespace snapstab::runtime

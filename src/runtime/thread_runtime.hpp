@@ -8,11 +8,13 @@
 // Topology object the simulator uses (historic constructor: the paper's
 // fully-connected rotation numbering).
 //
-// Seam: send pushes onto the edge's mailbox, receive attempt k pops in-edge
-// k and reports `more` until the last in-edge, so an activation makes one
-// pass over the node's mailboxes; inject pushes garbage. The `loss_rate`
-// option and the fault filter run at receive, between the pop and
-// dispatch, like every live transport.
+// Seam: send pushes onto the edge's mailbox and, if the mailbox took it,
+// wakes the destination node (live::Runtime::wake: one activation per
+// accepted message, since a mailbox has no descriptor to poll); receive
+// attempt k pops in-edge k and reports `more` until the last in-edge, so an
+// activation makes one pass over the node's mailboxes; inject pushes
+// garbage the same way. The `loss_rate` option and the fault filter run at
+// receive, between the pop and dispatch, like every live transport.
 #ifndef SNAPSTAB_RUNTIME_THREAD_RUNTIME_HPP
 #define SNAPSTAB_RUNTIME_THREAD_RUNTIME_HPP
 

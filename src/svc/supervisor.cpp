@@ -1,5 +1,7 @@
 #include "svc/supervisor.hpp"
 
+#include <algorithm>
+
 // Context method bodies (the sealed sim fast path) are inline in
 // sim/simulator.hpp; every TU calling them must see the definitions.
 #include "sim/simulator.hpp"
@@ -37,6 +39,19 @@ std::uint64_t Supervisor::now() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start_)
           .count());
+}
+
+std::uint64_t Supervisor::next_timer() const {
+  std::uint64_t next = kNoTimer;
+  for (const Rec& rec : recs_) {
+    if (rec.st == St::Backoff) next = std::min(next, rec.resume_at);
+    if (rec.st != St::Flying) continue;
+    next = std::min(next, rec.deadline);
+    if (opts_.hedge.enabled && !rec.hedge_live &&
+        rec.hedges < opts_.hedge.max_hedges)
+      next = std::min(next, rec.flying_since + opts_.hedge.hedge_after);
+  }
+  return next;
 }
 
 std::uint64_t Supervisor::backoff_delay(int attempts_so_far) {
@@ -342,9 +357,27 @@ bool Supervisor::run_all(AwaitOptions opts) {
     }
     return true;
   }
-  if (pump()) return true;
-  if (client_->live_runtime()->run([this] { return pump(); }, opts.timeout))
-    return true;
+  // Wait in slices that end at the next supervisor timer: node activations
+  // re-run pump() on progress, but a backoff, deadline or hedge must fire
+  // even while every node is idle. A pump that arms an earlier timer ends
+  // the slice too.
+  live::Runtime& rt = *client_->live_runtime();
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point give_up = Clock::now() + opts.timeout;
+  for (;;) {
+    if (pump()) return true;
+    const Clock::time_point t = Clock::now();
+    if (t >= give_up) break;
+    const std::uint64_t timer = next_timer();
+    Clock::duration slice = give_up - t;
+    if (timer != kNoTimer)
+      slice = std::min(slice, start_ + std::chrono::milliseconds(timer) - t);
+    const auto wait = std::max(
+        std::chrono::ceil<std::chrono::milliseconds>(slice),
+        std::chrono::milliseconds(1));
+    rt.run([this, timer] { return pump() || next_timer() < timer; }, wait);
+    if (!rt.running()) break;
+  }
   // Timed out, or the runtime was shut down: settle every live ticket
   // (Expired / GaveUp / Refused) so the caller still gets terminal
   // outcomes, and report the budget loss.

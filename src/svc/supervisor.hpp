@@ -139,8 +139,11 @@ class Supervisor {
   // stop predicate. Simulator: quiescent spells (backoff timers pending
   // while no step is enabled) fast-forward deterministically, and flying
   // attempts that can never finish are expired — so this always terminates
-  // with every ticket settled. Returns false when the step/wall budget
-  // forced the settlement rather than the protocol finishing.
+  // with every ticket settled. Live runtime: node activations re-run
+  // pump(), and the supervisor's own timers (backoff, deadlines, hedges)
+  // end each wait, since idle nodes make no activations. Returns false when
+  // the step/wall budget forced the settlement rather than the protocol
+  // finishing.
   bool run_all(AwaitOptions opts = {});
 
   // Called at the start of every pump(): the fault tests chain the
@@ -195,6 +198,10 @@ class Supervisor {
   };
 
   std::uint64_t now() const;
+  // The earliest pending timer (a backoff resume, an attempt deadline or a
+  // hedge launch), in clock units; kNoTimer when none is pending.
+  std::uint64_t next_timer() const;
+  static constexpr std::uint64_t kNoTimer = ~std::uint64_t{0};
   std::uint64_t backoff_delay(int attempts_so_far);
   // Launches the next attempt: submit + deadline + hedge reset.
   void launch(Rec& rec);

@@ -1,8 +1,9 @@
 // test_runtime.cpp — the thread runtime: the same protocol objects under
 // real concurrency, bounded lossy mailboxes and the binary wire format;
 // plus the live::Runtime properties both transports share (the observation
-// log, the event-driven run() and its wake-up on shutdown, and the
-// per-activation receive bound against a flooding transport).
+// log, the event-driven run() and its wake-up on shutdown, the node loop's
+// readiness waits and retransmission timer, and the per-activation receive
+// bound against a flooding transport).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -420,6 +421,147 @@ TEST_P(LiveRuntime, RunReevaluatesOnlyOnProgress) {
   EXPECT_GE(waited, 100ms) << "run() returned before its deadline";
   EXPECT_GT(ticks.load(), 0);
   EXPECT_LE(evaluations, ticks.load() + 2);
+}
+
+// The node loop: a node thread wakes on input, on a tick its driver
+// enables, and on its retransmission timer — and otherwise stays asleep.
+
+// A process for the loop tests: its tick is enabled while armed (one tick
+// only after arm_once()), it may claim to sit in its critical section, and
+// it counts its ticks and deliveries.
+class Probe final : public sim::Process {
+ public:
+  struct Counts {
+    std::atomic<int> ticks{0};
+    std::atomic<int> messages{0};
+  };
+  Probe(Counts& counts, bool armed, bool busy = false)
+      : counts_(counts), armed_(armed), busy_(busy) {}
+  void arm_once() { armed_ = once_ = true; }
+  void on_tick(sim::Context&) override {
+    counts_.ticks.fetch_add(1);
+    if (once_) armed_ = false;
+  }
+  void on_message(sim::Context&, int, const Message&) override {
+    counts_.messages.fetch_add(1);
+  }
+  bool tick_enabled() const override { return armed_; }
+  bool busy() const override { return busy_; }
+  void randomize(Rng&) override {}
+
+ private:
+  Counts& counts_;
+  bool armed_;
+  bool once_ = false;
+  const bool busy_;
+};
+
+// Awaits a never-true predicate for `span` and returns how often run()
+// evaluated it: at most once up front, once per node activation and once
+// at the deadline.
+int evaluations_during(live::Runtime& rt, std::chrono::milliseconds span) {
+  int evaluations = 0;
+  EXPECT_FALSE(rt.run(
+      [&evaluations] {
+        ++evaluations;
+        return false;
+      },
+      span));
+  return evaluations;
+}
+
+TEST_P(LiveRuntime, AnIdleNodeStaysAsleep) {
+  // No input and no enabled tick: each node activates once as its thread
+  // starts and at most once more (a pacing loop would activate thousands
+  // of times in 100 ms).
+  const int n = 3;
+  Probe::Counts counts;
+  auto rt = test::make_live(GetParam(), n, 37);
+  for (int i = 0; i < n; ++i)
+    rt->add_process(std::make_unique<Probe>(counts, /*armed=*/false));
+  EXPECT_LE(evaluations_during(*rt, 100ms), 2 * n + 2);
+  rt->shutdown();
+  EXPECT_EQ(counts.ticks.load(), 0);
+}
+
+TEST_P(LiveRuntime, EnablingATickWakesTheNode) {
+  const int n = 2;
+  Probe::Counts counts;
+  auto rt = test::make_live(GetParam(), n, 41);
+  for (int i = 0; i < n; ++i)
+    rt->add_process(std::make_unique<Probe>(counts, /*armed=*/false));
+  evaluations_during(*rt, 20ms);  // both nodes are asleep by now
+  const auto t0 = std::chrono::steady_clock::now();
+  rt->with_process<Probe>(1, [](Probe& p) {
+    p.arm_once();
+    return 0;
+  });
+  const bool ticked =
+      rt->run([&counts] { return counts.ticks.load() == 1; }, 10s);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  rt->shutdown();
+  EXPECT_TRUE(ticked) << "the node slept through its newly enabled tick";
+  EXPECT_LT(waited, 1s);
+  EXPECT_EQ(counts.ticks.load(), 1);
+}
+
+TEST_P(LiveRuntime, AnUnansweredTickBacksOffToTheCap) {
+  // Ticks that see no delivery double the retransmission period up to
+  // kRetransmitPeriodCap, so each node ticks about once per cap after a
+  // short ramp — not once per kRetransmitPeriod — and keeps ticking.
+  const int n = 2;
+  Probe::Counts counts;
+  auto rt = test::make_live(GetParam(), n, 43);
+  for (int i = 0; i < n; ++i)
+    rt->add_process(std::make_unique<Probe>(counts, /*armed=*/true));
+  const auto t0 = std::chrono::steady_clock::now();
+  evaluations_during(*rt, 200ms);
+  rt->shutdown();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  const auto caps = static_cast<int>(elapsed / live::kRetransmitPeriodCap);
+  const int ramp = 8;  // 20, 40, ..., 640 us, plus the first tick
+  EXPECT_LE(counts.ticks.load(), n * (caps + ramp));
+  EXPECT_GE(counts.ticks.load(), n * caps / 8) << "the timer stalled";
+}
+
+TEST_P(LiveRuntime, ABusyNodeDoesNotSpinOnQueuedInput) {
+  // Node 0 sits in its critical section with input queued: it must wait
+  // for its timer instead of polling the input it may not read.
+  Probe::Counts counts;
+  auto rt = test::make_live(GetParam(), 2, 47);
+  rt->add_process(
+      std::make_unique<Probe>(counts, /*armed=*/true, /*busy=*/true));
+  rt->add_process(std::make_unique<Probe>(counts, /*armed=*/false));
+  rt->start();
+  const sim::EdgeId into_busy = rt->topology().edge_between(1, 0);
+  int queued = 0;
+  for (int i = 0; i < 16; ++i)
+    if (rt->inject(into_busy, Message::pif(Value::integer(i), Value::none(),
+                                           0, 0)))
+      ++queued;
+  ASSERT_GT(queued, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  const int evaluations = evaluations_during(*rt, 100ms);
+  const auto caps = static_cast<int>((std::chrono::steady_clock::now() - t0) /
+                                     live::kRetransmitPeriodCap);
+  rt->shutdown();
+  EXPECT_EQ(counts.messages.load(), 0);
+  // Timer wakes, one wake per queued message, node 1's start-up and the
+  // await's own two evaluations, with room for the ramp.
+  EXPECT_LE(evaluations, caps + queued + 16);
+}
+
+TEST_P(LiveRuntime, ShutdownOfAnIdleRuntimeReturnsAtOnce) {
+  const int n = 3;
+  Probe::Counts counts;
+  auto rt = test::make_live(GetParam(), n, 53);
+  for (int i = 0; i < n; ++i)
+    rt->add_process(std::make_unique<Probe>(counts, /*armed=*/false));
+  evaluations_during(*rt, 20ms);  // every node waits with no timeout
+  const auto t0 = std::chrono::steady_clock::now();
+  rt->shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+  EXPECT_FALSE(rt->running());
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, LiveRuntime, test::kTransports,

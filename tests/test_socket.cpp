@@ -719,7 +719,7 @@ TEST(SocketMultiProcess, InjectorDeliversTheSigkill) {
   fault::RuntimeInjector inj(plan, srt, io);
   inj.set_node_pid(1, child);
   inj.start();
-  while (!inj.done()) std::this_thread::sleep_for(5ms);
+  EXPECT_TRUE(inj.wait_done(30s)) << plan.repro_line();
   inj.stop();
 
   EXPECT_EQ(inj.counters().process_kills, 1u) << plan.repro_line();

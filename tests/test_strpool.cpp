@@ -26,10 +26,11 @@ TEST(StringPool, InterningIsInjectivePerPool) {
 }
 
 TEST(StringPool, IdsStayDenseAndStableAsTheIndexGrows) {
-  // Enough strings to regrow the index many times: ids are handed out in
-  // first-sight order and every one still resolves both ways.
+  // Enough strings to fill the pool and regrow the index many times: ids
+  // are handed out in first-sight order and every one still resolves both
+  // ways.
   StringPool pool;
-  constexpr StrId kStrings = 20000;
+  constexpr StrId kStrings = StringPool::kCapacity - 1;
   for (StrId i = 1; i <= kStrings; ++i)
     ASSERT_EQ(pool.intern("k" + std::to_string(i)), i);
   EXPECT_EQ(pool.size(), std::size_t{kStrings} + 1);
@@ -38,6 +39,30 @@ TEST(StringPool, IdsStayDenseAndStableAsTheIndexGrows) {
     ASSERT_EQ(pool.str(i), "k" + std::to_string(i));
   }
   EXPECT_EQ(pool.intern(""), StrId{0});
+  EXPECT_EQ(pool.overflowed(), 0u);
+}
+
+TEST(StringPool, NewTextPastTheCapMapsToTheOverflowId) {
+  // A full pool answers every new text with the one overflow id, which
+  // resolves to "" and is counted; the ids below the cap do not move.
+  StringPool pool;
+  for (StrId i = 1; i < StringPool::kCapacity; ++i)
+    ASSERT_EQ(pool.intern("k" + std::to_string(i)), i);
+  EXPECT_EQ(pool.intern("fresh"), StringPool::kOverflow);
+  EXPECT_EQ(pool.intern("another"), StringPool::kOverflow);
+  EXPECT_EQ(pool.overflowed(), 2u);
+  EXPECT_EQ(pool.size(), StringPool::kCapacity);
+  EXPECT_EQ(pool.str(StringPool::kOverflow), "");
+  EXPECT_EQ(pool.intern("k7"), StrId{7});
+  EXPECT_EQ(pool.intern(""), StrId{0});
+  EXPECT_EQ(pool.overflowed(), 2u);  // known text never overflows
+  {
+    // Through Value: overflowing texts are one value, distinct from "".
+    ScopedStringPool scope(pool);
+    EXPECT_EQ(Value::text("x1"), Value::text("x2"));
+    EXPECT_NE(Value::text("x1"), Value::text(""));
+    EXPECT_EQ(Value::text("k9").as_text(), "k9");
+  }
 }
 
 TEST(StringPool, IdZeroIsTheEmptyStringAndOutOfRangeResolvesEmpty) {

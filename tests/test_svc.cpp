@@ -708,7 +708,8 @@ INSTANTIATE_TEST_SUITE_P(Transports, SvcLiveAwait, test::kTransports,
 TEST(SvcSupervisor, HedgedTicketsSettleOkOverUdp) {
   // Supervised PIF and election tickets over real sockets, hedging on with
   // sprayed origins. Every link starts down so each primary outlives the
-  // hedge budget and a backup launches; a few pumps later the links heal.
+  // hedge budget and a backup launches; once every ticket has its backup,
+  // the links heal.
   const int n = 3;
   net::SocketRuntime rt(n, {.seed = 97});
   for (int p = 0; p < n; ++p) {
@@ -726,11 +727,13 @@ TEST(SvcSupervisor, HedgedTicketsSettleOkOverUdp) {
   so.hedge.hedge_after = 1;  // ms
   Supervisor sup(client, so);
   set_every_edge_down(rt, true);
-  int pumps = 0;
-  sup.set_on_pump([&] {
-    if (++pumps == 10) rt.clear_edge_faults();
-  });
   std::vector<Supervisor::Ticket> tickets;
+  bool healed = false;
+  sup.set_on_pump([&] {
+    if (healed || sup.stats().hedges_launched < tickets.size()) return;
+    rt.clear_edge_faults();
+    healed = true;
+  });
   for (int p = 0; p < n; ++p) {
     tickets.push_back(sup.supervise(p, PifBroadcast{Value::integer(70 + p)}));
     tickets.push_back(sup.supervise(p, Election{}));
