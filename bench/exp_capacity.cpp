@@ -11,7 +11,6 @@
 namespace snapstab::bench {
 namespace {
 
-using core::PifProcess;
 using sim::Simulator;
 
 struct Cell {
@@ -39,9 +38,9 @@ Cell run_cell(int c, int n, int trials, std::uint64_t seed0, int threads) {
     fuzz_opts.flag_limit = 2 * c + 2;
     sim::fuzz(*world, rng, fuzz_opts);
     world->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(seed));
-    core::request_pif(*world, 0, Value::integer(t));
+    pif_at(*world, 0).request(Value::integer(t));
     const auto reason = world->run(5'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
+      return pif_at(s, 0).done();
     });
     if (reason != Simulator::StopReason::Predicate) {
       out.violation = true;
@@ -72,17 +71,19 @@ Cell run_cell(int c, int n, int trials, std::uint64_t seed0, int threads) {
 // decision happened.
 bool mismatch_attack(int believed, int real) {
   Simulator world(2, static_cast<std::size_t>(real), 1);
-  world.add_process(std::make_unique<PifProcess>(1, believed));
-  world.add_process(std::make_unique<PifProcess>(1, believed));
+  world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1, .channel_capacity = believed}));
+  world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1, .channel_capacity = believed}));
   const int flag_bound = 2 * believed + 2;
   for (std::int32_t flag = 0; flag < flag_bound && flag < real; ++flag)
     world.network().channel(1, 0).push(
         Message::pif(Value::text("stale"), Value::text("stale"), 0, flag));
-  core::request_pif(world, 0, Value::text("real"));
+  pif_at(world, 0).request(Value::text("real"));
   world.execute(sim::Step::tick(0));
   for (int i = 0; i < real; ++i) world.execute(sim::Step::deliver(1, 0));
   world.execute(sim::Step::tick(0));
-  return world.process_as<PifProcess>(0).pif().done();
+  return pif_at(world, 0).done();
 }
 
 }  // namespace

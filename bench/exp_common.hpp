@@ -18,9 +18,9 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::bench {
 
@@ -161,21 +161,25 @@ inline void verdict(bool ok, const char* what) {
 // Builds a PIF-only world of n processes over capacity-c channels.
 inline std::unique_ptr<sim::Simulator> pif_world(int n, int capacity,
                                                  std::uint64_t seed) {
-  auto world = std::make_unique<sim::Simulator>(
-      n, static_cast<std::size_t>(capacity), seed);
-  for (int i = 0; i < n; ++i)
-    world->add_process(std::make_unique<core::PifProcess>(n - 1, capacity));
-  return world;
+  return svc::service_world(sim::Topology::complete(n),
+                            static_cast<std::size_t>(capacity), seed,
+                            /*config_of=*/nullptr);
+}
+
+// The PIF layer of process p's host (the PIF experiments drive and poll
+// the layer directly).
+inline core::Pif& pif_at(sim::Simulator& world, sim::ProcessId p) {
+  return world.process_as<svc::ServiceHost>(p).pif();
 }
 
 // Builds an ME world with ids 1..n (process 0 is the leader).
 inline std::unique_ptr<sim::Simulator> me_world(
-    int n, std::uint64_t seed, core::StackOptions options = {}) {
-  auto world = std::make_unique<sim::Simulator>(n, 1, seed);
-  for (int i = 0; i < n; ++i)
-    world->add_process(
-        std::make_unique<core::MeStackProcess>(i + 1, n - 1, options));
-  return world;
+    int n, std::uint64_t seed, core::MeOptions options = {}) {
+  return svc::service_world(
+      sim::Topology::complete(n), 1, seed, [&options](sim::ProcessId p) {
+        return svc::HostConfig{.id = p + 1, .with_me = true,
+                               .me_options = options};
+      });
 }
 
 // Round count when the world runs under a RoundRobinScheduler.

@@ -14,11 +14,11 @@
 #include "trial_runner.hpp"
 
 #include "core/forward_world.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::bench {
 namespace {
 
-using core::ForwardProcess;
 using sim::Simulator;
 using sim::Topology;
 
@@ -62,15 +62,15 @@ Trial run_trial(const std::string& family, int n, double loss, int payloads,
   const std::uint64_t budget = core::forward_ghost_budget(*world);
 
   Rng pick(seed * 17 + 3);
+  svc::Client client(*world);
   int accepted = 0;
   while (accepted < payloads) {
     const auto origin =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
     const auto dst =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
-    if (core::request_forward(*world, origin, dst,
-                              Value::integer(kBase + accepted)))
-      ++accepted;
+    const svc::ForwardMsg msg{dst, Value::integer(kBase + accepted)};
+    if (client.submit(origin, msg).accepted()) ++accepted;
   }
 
   world->set_scheduler(std::make_unique<sim::RandomScheduler>(
@@ -98,7 +98,7 @@ Trial run_trial(const std::string& family, int n, double loss, int payloads,
   std::uint64_t hops = 0;
   std::uint64_t ghosts = 0;
   for (int p = 0; p < n; ++p)
-    hops += world->process_as<ForwardProcess>(p).forward().hops_acked();
+    hops += world->process_as<svc::ServiceHost>(p).forward().hops_acked();
   for (const auto& e : world->log().events())
     if (e.layer == sim::Layer::Service &&
         e.kind == sim::ObsKind::FwdDeliver && e.value.as_int() < kBase)

@@ -10,7 +10,6 @@
 namespace snapstab::bench {
 namespace {
 
-using core::IdlProcess;
 using sim::Simulator;
 
 struct Cell {
@@ -31,8 +30,9 @@ Cell run_cell(int n, bool corrupted, int trials, std::uint64_t seed0) {
 
     Simulator world(n, 1, seed);
     for (int i = 0; i < n; ++i)
-      world.add_process(std::make_unique<IdlProcess>(
-          ids[static_cast<std::size_t>(i)], n - 1, 1));
+      world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .id = ids[static_cast<std::size_t>(i)], .degree = n - 1,
+          .with_idl = true}));
     if (corrupted) {
       Rng rng(seed ^ 0xDEAD);
       sim::fuzz(world, rng);
@@ -42,7 +42,8 @@ Cell run_cell(int n, bool corrupted, int trials, std::uint64_t seed0) {
     std::vector<svc::Session> sessions;
     for (int p = 0; p < n; ++p)
       sessions.push_back(client.submit(p, svc::Idl{}));
-    const bool done = client.run_until(sessions, {.max_steps = 5'000'000});
+    const bool done = client.await_all(sessions, {.max_steps = 5'000'000}) ==
+                      svc::AwaitResult::Done;
     ++cell.runs;
     if (!done) {
       ++cell.violations;
@@ -53,7 +54,7 @@ Cell run_cell(int n, bool corrupted, int trials, std::uint64_t seed0) {
     const auto report = core::check_idl_spec(
         world,
         [&world](sim::ProcessId p) -> const core::Idl& {
-          return world.process_as<IdlProcess>(p).idl();
+          return world.process_as<svc::ServiceHost>(p).idl();
         },
         ids);
     if (!report.ok()) ++cell.violations;

@@ -9,15 +9,14 @@
 // latency, per-process fairness, messages per grant.
 //
 // Requests go through the svc session API: submit-while-busy queues at the
-// host, so the historic caller-managed retry loops collapse into
-// submit -> run_until -> resubmit.
+// host, so no caller-managed retry loop is needed: submit -> await_all ->
+// resubmit.
 #include "exp_common.hpp"
 #include "svc/client.hpp"
 
 namespace snapstab::bench {
 namespace {
 
-using core::MeStackProcess;
 using sim::Simulator;
 
 struct ValidationCell {
@@ -38,13 +37,13 @@ ValidationCell validate(int n, double loss, int trials,
         seed, sim::LossOptions{.rate = loss, .max_consecutive = 5}));
 
     // One CS session per process: a fuzzed ghost computation in the ME
-    // layer queues the session instead of refusing it (the historic
-    // retry-in-the-stop-predicate dance).
+    // layer queues the session instead of refusing it.
     svc::Client client(*world);
     std::vector<svc::Session> sessions;
     for (int p = 0; p < n; ++p)
       sessions.push_back(client.submit(p, svc::CriticalSection{}));
-    const bool served = client.run_until(sessions, {.max_steps = 8'000'000});
+    const bool served = client.await_all(sessions, {.max_steps = 8'000'000}) ==
+                        svc::AwaitResult::Done;
     ++cell.runs;
     if (!served) ++cell.unserved;
     const auto report =
@@ -107,15 +106,16 @@ ServiceCell service(int n, std::uint64_t seed, std::uint64_t budget) {
 }
 
 bool paper_faithful_deadlock(int n) {
-  core::StackOptions opts;
-  opts.me.paper_faithful_increment = true;
+  core::MeOptions opts;
+  opts.paper_faithful_increment = true;
   auto world = me_world(n, 77, opts);
   // Plant the poison value n at the leader and request elsewhere.
-  world->process_as<MeStackProcess>(0).me().mutable_state().value = n;
+  world->process_as<svc::ServiceHost>(0).me().mutable_state().value = n;
   world->set_scheduler(std::make_unique<sim::RandomScheduler>(78));
   svc::Client client(*world);
   const svc::Session session = client.submit(1, svc::CriticalSection{});
-  return !client.run_until(session, {.max_steps = 600'000});
+  return client.await_all({session}, {.max_steps = 600'000}) !=
+         svc::AwaitResult::Done;
 }
 
 }  // namespace

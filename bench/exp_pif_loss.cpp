@@ -12,7 +12,6 @@ namespace snapstab::bench {
 namespace {
 
 using baselines::NaivePifProcess;
-using core::PifProcess;
 using sim::Simulator;
 
 struct SnapCell {
@@ -35,9 +34,9 @@ SnapCell run_snap(int n, double loss, int trials, std::uint64_t seed0) {
     auto world = pif_world(n, 1, seed);
     world->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(
         seed, sim::LossOptions{.rate = loss, .max_consecutive = 8}));
-    core::request_pif(*world, 0, Value::integer(t));
+    pif_at(*world, 0).request(Value::integer(t));
     const auto reason = world->run(5'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
+      return pif_at(s, 0).done();
     });
     ++cell.runs;
     const auto chan = world->network().aggregate_channel_stats();

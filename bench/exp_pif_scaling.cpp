@@ -12,7 +12,6 @@
 namespace snapstab::bench {
 namespace {
 
-using core::PifProcess;
 using sim::Simulator;
 
 struct Cell {
@@ -39,9 +38,9 @@ Cell run_cell(int n, bool corrupted, int trials, std::uint64_t seed0,
       sim::fuzz(*world, rng);
     }
     world->set_scheduler(std::make_unique<sim::RoundRobinScheduler>(seed));
-    core::request_pif(*world, 0, Value::integer(t));
+    pif_at(*world, 0).request(Value::integer(t));
     const auto reason = world->run(5'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
+      return pif_at(s, 0).done();
     });
     if (reason != Simulator::StopReason::Predicate) return out;
     out.completed = true;

@@ -9,7 +9,6 @@
 namespace snapstab::bench {
 namespace {
 
-using core::PifProcess;
 using sim::Simulator;
 
 struct Cell {
@@ -42,9 +41,9 @@ Cell run_cell(int n, bool corrupted, double loss, int trials,
     }
     world->set_scheduler(std::make_unique<sim::RandomScheduler>(
         seed + 1, sim::LossOptions{.rate = loss, .max_consecutive = 6}));
-    core::request_pif(*world, 0, Value::integer(static_cast<int>(seed)));
+    pif_at(*world, 0).request(Value::integer(static_cast<int>(seed)));
     const auto reason = world->run(2'000'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
+      return pif_at(s, 0).done();
     });
     ++cell.runs;
     if (reason != Simulator::StopReason::Predicate) {

@@ -20,16 +20,17 @@ using runtime::ThreadRuntime;
 double pif_wall_ms(int n, double loss, std::uint64_t seed, bool& ok) {
   ThreadRuntime rt(n, {.loss_rate = loss, .seed = seed});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  rt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
+  rt.with_process<svc::ServiceHost>(0, [](svc::ServiceHost& p) {
     p.pif().request(Value::text("wall-clock"));
     return 0;
   });
   const auto start = std::chrono::steady_clock::now();
   ok = rt.run(
       [&rt] {
-        return rt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
+        return rt.with_process<svc::ServiceHost>(
+            0, [](svc::ServiceHost& p) { return p.pif().done(); });
       },
       30s);
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -48,9 +49,9 @@ MeResult me_on_threads(int n, std::uint64_t seed) {
   std::atomic<int> peak{0};
   std::atomic<int> grants{0};
   for (int i = 0; i < n; ++i) {
-    core::StackOptions opts;
-    opts.me.cs_length = 2;
-    opts.me.cs_body = [&occupancy, &peak, &grants] {
+    core::MeOptions opts;
+    opts.cs_length = 2;
+    opts.cs_body = [&occupancy, &peak, &grants] {
       const int now = occupancy.fetch_add(1) + 1;
       int expected = peak.load();
       while (now > expected && !peak.compare_exchange_weak(expected, now)) {
@@ -60,11 +61,13 @@ MeResult me_on_threads(int n, std::uint64_t seed) {
       grants.fetch_add(1);
     };
     rt.add_process(
-        std::make_unique<core::MeStackProcess>(i + 1, n - 1, opts));
+        std::make_unique<svc::ServiceHost>(svc::HostConfig{
+            .id = i + 1, .degree = n - 1, .with_me = true,
+            .me_options = opts}));
   }
   for (int i = 0; i < n; ++i)
-    rt.with_process<core::MeStackProcess>(
-        i, [](core::MeStackProcess& s) { return s.me().request_cs(); });
+    rt.with_process<svc::ServiceHost>(
+        i, [](svc::ServiceHost& s) { return s.me().request_cs(); });
 
   const auto start = std::chrono::steady_clock::now();
   MeResult result;

@@ -7,7 +7,7 @@
 // global reset, leader election with consistent ranking, and termination
 // detection of a token-game diffusing computation — each from fuzzed
 // initial configurations, each requested as a session (submit ->
-// run_until -> result) instead of the historic per-protocol helpers.
+// await_all -> result).
 #include <deque>
 #include <set>
 
@@ -17,9 +17,6 @@
 namespace snapstab::bench {
 namespace {
 
-using core::ElectionProcess;
-using core::ResetProcess;
-using core::TermDetectProcess;
 using sim::Simulator;
 
 struct ResetCell {
@@ -36,15 +33,17 @@ ResetCell reset_cell(int n, int trials, std::uint64_t seed0) {
     std::vector<int> hooks(static_cast<std::size_t>(n), 0);
     for (int i = 0; i < n; ++i) {
       auto* counter = &hooks[static_cast<std::size_t>(i)];
-      world.add_process(std::make_unique<ResetProcess>(
-          n - 1, 1, [counter](sim::Context&) { ++*counter; }));
+      world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .degree = n - 1, .with_reset = true,
+          .on_reset = [counter](sim::Context&) { ++*counter; }}));
     }
     Rng rng(seed * 3);
     sim::fuzz(world, rng);
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
     svc::Client client(world);
     const auto session = client.submit(0, svc::Reset{});
-    const bool done = client.run_until(session, {.max_steps = 1'000'000});
+    const bool done = client.await_all({session}, {.max_steps = 1'000'000}) ==
+                      svc::AwaitResult::Done;
     ++cell.runs;
     bool ok = done && client.result(session).completed;
     for (int i = 0; i < n && ok; ++i)
@@ -70,8 +69,9 @@ ElectionCell election_cell(int n, int trials, std::uint64_t seed0) {
     for (int i = 0; i < n; ++i) ids.push_back(id_rng.range(1, 9999) * 100 + i);
     Simulator world(n, 1, seed);
     for (int i = 0; i < n; ++i)
-      world.add_process(std::make_unique<ElectionProcess>(
-          ids[static_cast<std::size_t>(i)], n - 1, 1));
+      world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .id = ids[static_cast<std::size_t>(i)], .degree = n - 1,
+          .with_election = true}));
     Rng rng(seed * 7);
     sim::fuzz(world, rng);
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
@@ -79,7 +79,8 @@ ElectionCell election_cell(int n, int trials, std::uint64_t seed0) {
     std::vector<svc::Session> sessions;
     for (int p = 0; p < n; ++p)
       sessions.push_back(client.submit(p, svc::Election{}));
-    const bool done = client.run_until(sessions, {.max_steps = 3'000'000});
+    const bool done = client.await_all(sessions, {.max_steps = 3'000'000}) ==
+                      svc::AwaitResult::Done;
     ++cell.runs;
     bool ok = done;
     if (ok) {
@@ -143,7 +144,9 @@ TdCell termdetect_cell(int n, int tokens, int trials, std::uint64_t seed0) {
         app->held.push_back(static_cast<int>(v.as_int(0)));
       };
       world.add_process(
-          std::make_unique<TermDetectProcess>(n - 1, 1, std::move(hooks)));
+          std::make_unique<svc::ServiceHost>(svc::HostConfig{
+              .degree = n - 1, .with_termdetect = true,
+              .app = std::move(hooks)}));
     }
     Rng rng(seed * 5);
     for (int k = 0; k < tokens; ++k)
@@ -152,7 +155,8 @@ TdCell termdetect_cell(int n, int tokens, int trials, std::uint64_t seed0) {
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
     svc::Client client(world);
     const auto session = client.submit(0, svc::TermDetect{});
-    const bool done = client.run_until(session, {.max_steps = 6'000'000});
+    const bool done = client.await_all({session}, {.max_steps = 6'000'000}) ==
+                      svc::AwaitResult::Done;
     ++cell.runs;
     if (!done) {
       ++cell.no_claims;

@@ -4,7 +4,7 @@
 // step clock; this one proves it against real concurrency. A correlated
 // fault storm — crash bursts, a flapping link, rolling partitions and a
 // cascade — is mapped onto wall time by fault::RuntimeInjector and applied
-// to live PifProcess hosts for most of the soak budget, while the driver
+// to live PIF-only hosts for most of the soak budget, while the driver
 // keeps one request in flight per origin and measures completion latency.
 // When the storm ceases, the snap-stabilization contract is the verdict: a
 // fresh request issued at every origin after the last window closed must
@@ -113,7 +113,8 @@ int main(int argc, char** argv) {
       std::max(1.0, storm_budget_us / static_cast<double>(horizon)));
   runtime::ThreadRuntime rt(topo, {.seed = seed});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
 
   fault::RuntimeInjectorOptions io;
   io.step_duration = std::chrono::microseconds(step_us);
@@ -151,8 +152,8 @@ int main(int argc, char** argv) {
         for (int i = 0; i < n; ++i) {
           const auto idx = static_cast<std::size_t>(i);
           if (phase[idx] != OriginPhase::Recovered) all_recovered = false;
-          const bool done = rt.with_process<core::PifProcess>(
-              i, [](core::PifProcess& p) { return p.pif().done(); });
+          const bool done = rt.with_process<svc::ServiceHost>(
+              i, [](svc::ServiceHost& p) { return p.pif().done(); });
           if (!done) continue;
           switch (phase[idx]) {
             case OriginPhase::Storm:
@@ -160,8 +161,8 @@ int main(int argc, char** argv) {
                 storm_lat_ms.push_back(ms_between(issued_at[idx], now));
                 ++storm_completed;
               }
-              rt.with_process<core::PifProcess>(
-                  i, [&payload](core::PifProcess& p) {
+              rt.with_process<svc::ServiceHost>(
+                  i, [&payload](svc::ServiceHost& p) {
                     p.pif().request(Value::integer(payload++));
                     return 0;
                   });
@@ -171,8 +172,8 @@ int main(int argc, char** argv) {
             case OriginPhase::Drain:
               // Leftover storm traffic has drained: issue the fresh
               // post-storm probe the snap-stabilization contract is about.
-              rt.with_process<core::PifProcess>(
-                  i, [&payload](core::PifProcess& p) {
+              rt.with_process<svc::ServiceHost>(
+                  i, [&payload](svc::ServiceHost& p) {
                     p.pif().request(Value::integer(payload++));
                     return 0;
                   });

@@ -99,7 +99,8 @@ Cell run_cell(int n, double loss, int rounds, std::uint64_t seed) {
       sessions.push_back(client.submit(p, svc::Election{}));
     }
     const auto r0 = Clock::now();
-    const bool done = client.run_until(sessions, {.timeout = 60'000ms});
+    const bool done = client.await_all(sessions, {.timeout = 60'000ms}) ==
+                      svc::AwaitResult::Done;
     cell.round_max_ms =
         std::max(cell.round_max_ms, ms_between(r0, Clock::now()));
     cell.sessions += static_cast<int>(sessions.size());
@@ -151,7 +152,8 @@ GarbageStats run_garbage(int n, int bursts, std::uint64_t seed) {
   }
   svc::Client client(srt);
   const auto s = client.submit(0, svc::PifBroadcast{Value::text("alive")});
-  g.session_survived = client.run_until(s, {.timeout = 30'000ms});
+  g.session_survived = client.await_all({s}, {.timeout = 30'000ms}) ==
+                       svc::AwaitResult::Done;
   // Let the drain swallow the hostile backlog.
   srt.run(
       [&srt, &g] {

@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "core/stack.hpp"
 #include "msg/codec.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
@@ -221,23 +220,24 @@ BENCHMARK(BM_EngineFloorObserveEmit)->Arg(16);
 
 // --- service API overhead (the BENCH_svc_api.json pair) --------------------
 // One full PIF computation per iteration, driven two ways over the same
-// world: the raw request_pif + done() poll, and a svc session (submit ->
-// run_until -> release). Items = engine steps executed, so the ns/item
-// difference is the per-step tax of the session machinery (target: <= 2 ns
-// on the sealed engine floor).
+// world: a raw layer poke (host.pif().request) + done() poll, and a svc
+// session (submit -> await_all -> release). Items = engine steps executed,
+// so the ns/item difference is the per-step tax of the session machinery
+// (target: <= 2 ns on the sealed engine floor).
 
 void BM_RawRequestPifCycle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::Simulator world(n, 1, 42);
   for (int p = 0; p < n; ++p)
-    world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(42));
   std::uint64_t steps = 0;
   for (auto _ : state) {
     const std::uint64_t before = world.step_count();
-    core::request_pif(world, 0, Value::integer(7));
+    world.process_as<svc::ServiceHost>(0).pif().request(Value::integer(7));
     world.run(5'000'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
+      return s.process_as<svc::ServiceHost>(0).pif().done();
     });
     steps += world.step_count() - before;
     if (world.log().size() >= (1u << 20)) world.log().clear();
@@ -250,7 +250,8 @@ void BM_SessionSubmitPoll(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::Simulator world(n, 1, 42);
   for (int p = 0; p < n; ++p)
-    world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(42));
   svc::Client client(world);
   std::uint64_t steps = 0;
@@ -258,7 +259,7 @@ void BM_SessionSubmitPoll(benchmark::State& state) {
     const std::uint64_t before = world.step_count();
     const svc::Session s =
         client.submit(0, svc::PifBroadcast{Value::integer(7)});
-    client.run_until(s);
+    client.await_all({s});
     client.release(s);
     steps += world.step_count() - before;
     if (world.log().size() >= (1u << 20)) world.log().clear();
@@ -268,7 +269,7 @@ void BM_SessionSubmitPoll(benchmark::State& state) {
 BENCHMARK(BM_SessionSubmitPoll)->Arg(16);
 
 // Session recycling steady state (the BENCH_load.json pair): the same
-// submit -> run_until -> release PIF cycle as BM_SessionSubmitPoll, but
+// submit -> await_all -> release PIF cycle as BM_SessionSubmitPoll, but
 // after Arg(0) vs Arg(~10^6) sessions have already been churned through the
 // host. The slot arena recycles released sessions through a free list, so
 // the per-step cost must be flat in the churn count — a regression here
@@ -297,7 +298,7 @@ void BM_SessionRecycleSteadyState(benchmark::State& state) {
     const std::uint64_t before = world.step_count();
     const svc::Session s =
         client.submit(0, svc::PifBroadcast{Value::integer(7)});
-    client.run_until(s);
+    client.await_all({s});
     client.release(s);
     steps += world.step_count() - before;
     if (world.log().size() >= (1u << 20)) world.log().clear();
@@ -310,16 +311,17 @@ void BM_SimulatorStep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::Simulator world(n, 1, 1);
   for (int i = 0; i < n; ++i)
-    world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  core::request_pif(world, 0, Value::integer(7));
+  world.process_as<svc::ServiceHost>(0).pif().request(Value::integer(7));
   std::uint64_t steps = 0;
   for (auto _ : state) {
     world.run(1);
     ++steps;
     // Keep the system busy: re-request once the computation finishes.
-    if (world.process_as<core::PifProcess>(0).pif().done())
-      core::request_pif(world, 0, Value::integer(7));
+    if (world.process_as<svc::ServiceHost>(0).pif().done())
+      world.process_as<svc::ServiceHost>(0).pif().request(Value::integer(7));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(steps));
 }
@@ -331,11 +333,12 @@ void BM_PifComputation(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator world(n, 1, seed);
     for (int i = 0; i < n; ++i)
-      world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+      world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .degree = n - 1}));
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed++));
-    core::request_pif(world, 0, Value::integer(1));
+    world.process_as<svc::ServiceHost>(0).pif().request(Value::integer(1));
     world.run(5'000'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
+      return s.process_as<svc::ServiceHost>(0).pif().done();
     });
   }
 }
@@ -347,13 +350,14 @@ void BM_PifComputationCorrupted(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator world(n, 1, seed);
     for (int i = 0; i < n; ++i)
-      world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+      world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .degree = n - 1}));
     Rng rng(seed * 3);
     sim::fuzz(world, rng);
     world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed++));
-    core::request_pif(world, 0, Value::integer(1));
+    world.process_as<svc::ServiceHost>(0).pif().request(Value::integer(1));
     world.run(5'000'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
+      return s.process_as<svc::ServiceHost>(0).pif().done();
     });
   }
 }
@@ -363,13 +367,14 @@ void BM_MeGrant(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::Simulator world(n, 1, 5);
   for (int i = 0; i < n; ++i)
-    world.add_process(std::make_unique<core::MeStackProcess>(i + 1, n - 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = i + 1, .degree = n - 1, .with_me = true}));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(6));
   int target = 0;
   for (auto _ : state) {
-    core::request_cs(world, target);
+    world.process_as<svc::ServiceHost>(target).me().request_cs();
     world.run(50'000'000, [target](sim::Simulator& s) {
-      return s.process_as<core::MeStackProcess>(target).me().request_state() ==
+      return s.process_as<svc::ServiceHost>(target).me().request_state() ==
              core::RequestState::Done;
     });
     target = (target + 1) % n;
@@ -380,7 +385,8 @@ BENCHMARK(BM_MeGrant)->Arg(2)->Arg(4);
 void BM_FuzzWorld(benchmark::State& state) {
   sim::Simulator world(8, 1, 1);
   for (int i = 0; i < 8; ++i)
-    world.add_process(std::make_unique<core::MeStackProcess>(i + 1, 7));
+    world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = i + 1, .degree = 7, .with_me = true}));
   Rng rng(9);
   for (auto _ : state) sim::fuzz(world, rng);
 }

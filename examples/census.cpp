@@ -12,9 +12,10 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "svc/host.hpp"
 
 using namespace snapstab;
 
@@ -34,21 +35,22 @@ int main(int argc, char** argv) {
 
   sim::Simulator world(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    world.add_process(std::make_unique<core::IdlProcess>(
-        ids[static_cast<std::size_t>(i)], n - 1, 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = ids[static_cast<std::size_t>(i)], .degree = n - 1,
+        .with_idl = true}));
   if (corrupt) {
     Rng chaos(seed + 1);
     sim::fuzz(world, chaos);
   }
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 2));
 
-  for (int p = 0; p < n; ++p) core::request_idl(world, p);
-  const auto reason = world.run(4'000'000, [n](sim::Simulator& s) {
-    for (int p = 0; p < n; ++p)
-      if (!s.process_as<core::IdlProcess>(p).idl().done()) return false;
-    return true;
-  });
-  if (reason != sim::Simulator::StopReason::Predicate) {
+  // One IDL session per process; over a corrupted start each session waits
+  // for its layer's ghost computation to drain, then runs for real.
+  svc::Client client(world);
+  std::vector<svc::Session> census;
+  for (int p = 0; p < n; ++p) census.push_back(client.submit(p, svc::Idl{}));
+  if (client.await_all(census, {.max_steps = 4'000'000}) !=
+      svc::AwaitResult::Done) {
     std::printf("ERROR: the census did not terminate\n");
     return 1;
   }
@@ -59,17 +61,18 @@ int main(int argc, char** argv) {
   for (const auto id : ids) true_min = std::min(true_min, id);
   bool all_exact = true;
   for (int p = 0; p < n; ++p) {
-    const auto& idl = world.process_as<core::IdlProcess>(p).idl();
+    const auto& idl = world.process_as<svc::ServiceHost>(p).idl();
+    const std::int64_t min_id =
+        client.result(census[static_cast<std::size_t>(p)]).min_id;
     std::string tab;
     for (int ch = 0; ch < n - 1; ++ch) {
       if (ch > 0) tab += " ";
       tab += std::to_string(idl.id_tab(ch));
     }
-    if (idl.min_id() != true_min) all_exact = false;
+    if (min_id != true_min) all_exact = false;
     table.add_row({TextTable::cell(p), TextTable::cell(idl.own_id()),
-                   TextTable::cell(idl.min_id()),
-                   idl.min_id() == idl.own_id() ? "LEADER" : "",
-                   tab});
+                   TextTable::cell(min_id),
+                   min_id == idl.own_id() ? "LEADER" : "", tab});
   }
   table.print();
   std::printf("\n%s — every process agrees the leader is %lld\n",

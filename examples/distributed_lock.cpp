@@ -14,8 +14,8 @@
 #include <thread>
 
 #include "common/cli.hpp"
-#include "core/stack.hpp"
 #include "runtime/thread_runtime.hpp"
+#include "svc/host.hpp"
 
 using namespace snapstab;
 using namespace std::chrono_literals;
@@ -38,16 +38,18 @@ int main(int argc, char** argv) {
 
   runtime::ThreadRuntime rt(n, {.seed = seed});
   for (int i = 0; i < n; ++i) {
-    core::StackOptions opts;
-    opts.me.cs_length = 2;
-    opts.me.cs_body = [&shared_counter, &grants] {
+    core::MeOptions opts;
+    opts.cs_length = 2;
+    opts.cs_body = [&shared_counter, &grants] {
       const long long observed = shared_counter;          // read
       std::this_thread::sleep_for(std::chrono::microseconds(300));  // pause
       shared_counter = observed + 1;                      // write
       grants.fetch_add(1);
     };
     rt.add_process(
-        std::make_unique<core::MeStackProcess>(i + 1, n - 1, opts));
+        std::make_unique<svc::ServiceHost>(svc::HostConfig{
+            .id = i + 1, .degree = n - 1, .with_me = true,
+            .me_options = opts}));
   }
 
   // Request driver: every process re-requests until it has completed
@@ -61,8 +63,8 @@ int main(int argc, char** argv) {
           const auto pi = static_cast<std::size_t>(p);
           if (completed[pi] >= rounds) continue;
           all = false;
-          rt.with_process<core::MeStackProcess>(
-              p, [&completed, &pending, pi, rounds](core::MeStackProcess& s) {
+          rt.with_process<svc::ServiceHost>(
+              p, [&completed, &pending, pi, rounds](svc::ServiceHost& s) {
                 if (s.me().request_state() != core::RequestState::Done)
                   return 0;  // request in flight
                 if (pending[pi]) {

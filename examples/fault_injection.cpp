@@ -12,10 +12,10 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
+#include "svc/host.hpp"
 
 using namespace snapstab;
 
@@ -32,9 +32,11 @@ int main(int argc, char** argv) {
 
   sim::Simulator world(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    world.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
   Rng chaos(seed + 2);
+  svc::Client client(world);
 
   TextTable table({"round", "stale msgs injected", "steps to decide",
                    "peers reached", "verdict"});
@@ -48,10 +50,13 @@ int main(int argc, char** argv) {
     const Value payload = Value::integer(7'000'000 + round);
     const std::uint64_t before = world.step_count();
     const std::size_t log_before = world.log().events().size();
-    core::request_pif(world, 0, payload);
-    const auto reason = world.run(500'000, [](sim::Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
-    });
+    // The session starts as soon as p0's layer is free of any ghost
+    // computation the fault left behind.
+    const svc::Session request =
+        client.submit(0, svc::PifBroadcast{payload});
+    const bool decided = client.await_all({request}, {.max_steps = 500'000}) ==
+                         svc::AwaitResult::Done;
+    client.release(request);
 
     int peers_reached = 0;
     const auto& events = world.log().events();
@@ -59,8 +64,7 @@ int main(int argc, char** argv) {
       if (events[i].kind == sim::ObsKind::RecvBrd &&
           events[i].value == payload)
         ++peers_reached;
-    const bool good = reason == sim::Simulator::StopReason::Predicate &&
-                      peers_reached == n - 1;
+    const bool good = decided && peers_reached == n - 1;
     all_good = all_good && good;
     table.add_row({TextTable::cell(round + 1), TextTable::cell(injected),
                    TextTable::cell(world.step_count() - before),

@@ -56,13 +56,14 @@ int main() {
   std::printf("submission admitted: %s\n",
               core::forward_submit_name(msg.admission));
   if (!msg.accepted()) {
-    // A refused session is born Done with completed=false — run_until
-    // returning true would NOT mean delivery.
+    // A refused session is born Done with completed=false — await_all
+    // returning Done would NOT mean delivery.
     std::printf("ERROR: the service refused the submission\n");
     return 1;
   }
 
-  if (!client.run_until(msg, {.max_steps = 2'000'000})) {
+  if (client.await_all({msg}, {.max_steps = 2'000'000}) !=
+      svc::AwaitResult::Done) {
     std::printf("ERROR: the payload was not delivered\n");
     return 1;
   }
@@ -82,7 +83,7 @@ int main() {
               static_cast<unsigned long long>([&] {
                 std::uint64_t hops = 0;
                 for (int p = 0; p < 8; ++p)
-                  hops += world->process_as<core::ForwardProcess>(p)
+                  hops += world->process_as<svc::ServiceHost>(p)
                               .forward()
                               .hops_acked();
                 return hops;

@@ -8,17 +8,17 @@
 //
 // The request goes through the unified service API: submit a typed
 // descriptor, get a Session mirroring the paper's Request variable
-// (Wait -> In -> Done), await it with run_until.
+// (Wait -> In -> Done), await it with await_all.
 //
 // Build & run:  ./examples/quickstart
 #include <cstdio>
 #include <memory>
 
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
 #include "svc/client.hpp"
+#include "svc/host.hpp"
 
 using namespace snapstab;
 
@@ -30,13 +30,16 @@ int main() {
   // Two processes; q's application-level feedback hook answers its age
   // whenever it sees the age question.
   sim::Simulator world(2, /*channel capacity=*/1, /*seed=*/2024);
-  world.add_process(std::make_unique<core::PifProcess>(1, 1));  // p
-  world.add_process(std::make_unique<core::PifProcess>(
-      1, 1, [age_of_q](sim::Context&, int, const Value& question) -> Value {
+  world.add_process(
+      std::make_unique<svc::ServiceHost>(svc::HostConfig{.degree = 1}));  // p
+  world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1,
+      .app_brd = [age_of_q](sim::Context&, int,
+                            const Value& question) -> Value {
         if (question.as_text() == "How old are you?")
           return Value::integer(age_of_q);
         return Value::token(Token::Ok);
-      }));  // q
+      }}));  // q
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(99));
 
   // Transient fault: scramble every variable and stuff garbage into the
@@ -52,7 +55,8 @@ int main() {
   svc::Client client(world);
   const svc::Session ask =
       client.submit(0, svc::PifBroadcast{Value::text("How old are you?")});
-  if (!client.run_until(ask, {.max_steps = 100'000})) {
+  if (client.await_all({ask}, {.max_steps = 100'000}) !=
+      svc::AwaitResult::Done) {
     std::printf("ERROR: the computation did not terminate\n");
     return 1;
   }
@@ -65,6 +69,16 @@ int main() {
               core::request_state_name(client.state(ask)),
               static_cast<unsigned long long>(world.step_count()),
               static_cast<unsigned long long>(world.metrics().sends));
+  // p's decision took q's answer into account: the receive-fck carrying it.
+  bool answered = false;
+  for (const auto& e : world.log().events())
+    if (e.process == 0 && e.kind == sim::ObsKind::RecvFck &&
+        e.value == Value::integer(age_of_q))
+      answered = true;
+  if (!answered) {
+    std::printf("ERROR: q's answer never reached p\n");
+    return 1;
+  }
   std::printf("q is %lld years old. Despite the corrupted start.\n",
               static_cast<long long>(age_of_q));
   return 0;

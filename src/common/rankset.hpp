@@ -1,20 +1,19 @@
 // rankset.hpp — a branchless order-statistics set over a bitmap.
 //
-// Backs the simulator's enabled-step index. Same interface as FenwickSet
-// (reset / count / add ±1 / kth), different cost model, tuned for the
-// sealed step loop's access pattern:
+// Backs the simulator's enabled-step index: an order-statistics set
+// (reset / count / add ±1 / kth) whose cost model is tuned for the sealed
+// step loop's access pattern:
 //
 //   add  — O(1): one bit flip plus two count increments. The index flips a
 //          membership bit on every channel empty↔nonempty transition (twice
-//          per message at capacity 1), so this beats the Fenwick tree's
+//          per message at capacity 1), so this beats a Fenwick tree's
 //          O(log n) cascade where it hurts most.
 //   kth  — a popcount prefix scan over 512-bit groups, then over the ≤ 8
 //          words of one group, then a 6-level binary search inside one
 //          word. Every level is mask arithmetic: the rank k is effectively
 //          random, so data-dependent branches would mispredict ~50% of the
 //          time, and the masks keep the whole lookup pipeline-friendly
-//          (the Fenwick descent it replaces was a serial, mispredicting
-//          load chain).
+//          (a Fenwick descent is a serial, mispredicting load chain).
 //
 // Members are reported by kth in ascending order, which is what the
 // engine's candidate-enumeration contract requires.

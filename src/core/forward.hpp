@@ -188,9 +188,9 @@ class Forward {
   std::uint64_t stalled_ = 0;
 };
 
-// The ForwardProcess simulator wrapper, forward_world, request_forward and
-// forward_ghost_budget moved to core/forward_world.hpp (the wrapper is a
-// svc::ServiceHost now, and this header must stay includable from there).
+// The simulator wiring (forward_world, forward_ghost_budget) lives in
+// core/forward_world.hpp: it builds svc::ServiceHosts, and this header must
+// stay includable from svc/host.hpp.
 
 }  // namespace snapstab::core
 

@@ -1,10 +1,10 @@
 // forward_world.hpp — simulator wiring for the forwarding service.
 //
-// Split out of forward.hpp: the per-node wrapper is a svc::ServiceHost
-// (forward-only configuration) since PR 5, and forward.hpp itself must stay
-// includable from svc/host.hpp. Everything here works uniformly over
-// ForwardProcess worlds and full ServiceHost worlds (svc::service_world
-// with forwarding enabled).
+// Split out of forward.hpp, which must stay includable from svc/host.hpp:
+// a forwarding world is a world of svc::ServiceHosts. Everything here works
+// uniformly over forward-only worlds (forward_world) and full ServiceHost
+// worlds (svc::service_world with forwarding enabled); submissions go
+// through svc::Client::submit with a svc::ForwardMsg descriptor.
 #ifndef SNAPSTAB_CORE_FORWARD_WORLD_HPP
 #define SNAPSTAB_CORE_FORWARD_WORLD_HPP
 
@@ -15,29 +15,12 @@
 
 namespace snapstab::core {
 
-// Wrapper running the forwarding service alone (no PIF stack) — a named
-// forward-only ServiceHost, kept for the historic constructor signature.
-class ForwardProcess final : public svc::ServiceHost {
- public:
-  ForwardProcess(sim::ProcessId self, int degree,
-                 std::shared_ptr<const sim::RoutingTable> routes,
-                 Forward::Options options = {});
-};
-
-// Builds a forwarding world: one ForwardProcess per node of `topology`, all
-// sharing one routing table.
+// Builds a forwarding world: one forward-only svc::ServiceHost per node of
+// `topology`, all sharing one routing table.
 std::unique_ptr<sim::Simulator> forward_world(sim::Topology topology,
                                               std::size_t channel_capacity,
                                               std::uint64_t seed,
                                               Forward::Options options = {});
-
-// Submits a payload at `origin` for `dst` and records the submission in the
-// observation log (the event check_forward_spec matches deliveries
-// against). Returns false — and records nothing — when the service refused
-// the submission (LEGACY SHIM: any ForwardSubmit refusal reason collapses
-// to false; svc::Client::submit surfaces the reason).
-bool request_forward(sim::Simulator& sim, sim::ProcessId origin,
-                     sim::ProcessId dst, const Value& payload);
 
 // The number of corrupted entries in `sim`'s *current* configuration that
 // can lawfully surface as ghost deliveries: forged FwdData messages in the

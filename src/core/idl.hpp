@@ -13,7 +13,7 @@
 //   A3  receive-brd<IDL> from q -> PIF.F-Mes[q] := ID
 //   A4  receive-fck<qID> from q -> ID-Tab[q] := qID; minID := min(...)
 //
-// A3/A4 are invoked through the protocol-stack dispatch (stack.hpp): a
+// A3/A4 are invoked through the protocol-stack dispatch (svc/host.hpp): a
 // received broadcast payload IDL selects A3; a feedback while our own
 // PIF.B-Mes is IDL selects A4.
 #ifndef SNAPSTAB_CORE_IDL_HPP
@@ -45,7 +45,7 @@ class Idl {
   void tick(sim::Context& ctx);
   bool tick_enabled() const noexcept;
 
-  // Dispatch targets (see stack.hpp).
+  // Dispatch targets (see svc/host.hpp).
   Value on_brd(sim::Context& ctx, int ch);                  // A3
   void on_fck(sim::Context& ctx, int ch, const Value& f);   // A4
 

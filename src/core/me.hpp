@@ -21,7 +21,7 @@
 //                 non-leader PIF-broadcasts EXITCS so the leader advances.
 //   Phase 4 (A4): wait for the release broadcast to finish; back to 0.
 //
-// Receive handlers (dispatched via the shared PIF, see stack.hpp):
+// Receive handlers (dispatched via the shared PIF, see svc/host.hpp):
 //   A5 receive-brd<ASK> from q    -> feedback YES iff Value = q
 //   A6 receive-brd<EXIT> from q   -> Phase := 0, feedback OK
 //   A7 receive-brd<EXITCS> from q -> if Value = q: advance Value; OK
@@ -65,9 +65,9 @@ class Me {
 
   // External request for the critical section (Request := Wait). Ignored
   // while a previous request is still being served, per the paper's usage
-  // rule. Returns true when the request was accepted. Callers inside the
-  // simulator should use core::request_cs (stack.hpp), which also records
-  // the request in the observation log.
+  // rule. Returns true when the request was accepted. Drivers submit a
+  // svc::CriticalSection session instead, which queues rather than being
+  // refused and records the request in the observation log.
   bool request_cs();
 
   RequestState request_state() const noexcept { return st_.request; }
@@ -89,7 +89,7 @@ class Me {
   void tick(sim::Context& ctx);
   bool tick_enabled() const noexcept;
 
-  // Dispatch targets (see stack.hpp).
+  // Dispatch targets (see svc/host.hpp).
   Value on_brd_ask(sim::Context& ctx, int ch);     // A5
   Value on_brd_exit(sim::Context& ctx, int ch);    // A6
   Value on_brd_exitcs(sim::Context& ctx, int ch);  // A7

@@ -14,19 +14,8 @@ auto Client::with_host(sim::ProcessId p, F&& f) {
 
 Session Client::submit_desc(sim::ProcessId origin, const Descriptor& d,
                             CompletionFn cb) {
-  // A forwarding session completes by matching the delivery record at its
-  // destination — turn recording on there before anything can arrive.
-  // Hosts never submitted to this way record nothing (legacy shim-driven
-  // worlds keep the allocation-free delivery path).
-  if (d.service == ServiceId::ForwardMsg) {
-    if (d.dst >= 0 && d.dst < process_count())
-      with_host(d.dst, [](ServiceHost& host) {
-        host.enable_delivery_recording();
-        return 0;
-      });
-  }
   // The RequestWait / FwdSubmit observation of a driver-side submission
-  // goes to the backend's log, exactly where the request_* helpers put it.
+  // goes to the backend's log, stamped with the current step.
   ServiceHost::Emit emit;
   if (sim_ != nullptr) {
     emit = [this, origin](sim::Layer l, sim::ObsKind k, int peer,

@@ -64,12 +64,10 @@ ServiceHost::ServiceHost(HostConfig config) : cfg_(std::move(config)) {
                        "the ForwardMsg service needs the host's global id");
     fwd_ = std::make_unique<core::Forward>(cfg_.self, cfg_.degree,
                                            cfg_.routes, cfg_.forward_options);
-    // Recording is off until a client submits a ForwardMsg session
-    // somewhere in the world (enable_delivery_recording): shim-driven
-    // worlds keep the zero-allocation delivery path and grow nothing.
+    // Every delivery is recorded: the client matches it back to the
+    // origin's session (consume_delivery / take_deliveries).
     fwd_->set_on_deliver([this](const FwdHeader& h, const Value& payload) {
-      if (record_deliveries_)
-        deliveries_.push_back(Delivery{h.origin, h.seq & 0xFFFFFu, payload});
+      deliveries_.push_back(Delivery{h.origin, h.seq & 0xFFFFFu, payload});
     });
   }
   SNAPSTAB_CHECK_MSG(pif_ != nullptr || fwd_ != nullptr,
@@ -171,7 +169,7 @@ bool ServiceHost::service_available(ServiceId s) const {
 template <typename EmitFn>
 void ServiceHost::start(SessionRec& rec, const EmitFn& emit) {
   // Sets Request := Wait on the serving layer and records the request event
-  // with the exact layer/peer/value the historic request_* helpers used.
+  // under the layer/value the spec checkers match (core/specs.hpp).
   switch (rec.desc.service) {
     case ServiceId::PifBroadcast:
       pif_->request(rec.desc.payload);
@@ -457,8 +455,8 @@ void ServiceHost::finish_forward(std::uint32_t seq) {
 
 void ServiceHost::on_tick(sim::Context& ctx) {
   if (me_ != nullptr) {
-    // The historic MeStackProcess discipline: a process inside its critical
-    // section executes nothing else (the CS sits inside atomic action A3).
+    // A process inside its critical section executes nothing else (the CS
+    // sits inside atomic action A3).
     if (me_->in_cs()) {
       me_->tick(ctx);
       poll_sessions(ctx);
@@ -482,7 +480,7 @@ void ServiceHost::on_tick(sim::Context& ctx) {
   }
   // Upper layers before PIF: a sub-protocol request submitted during this
   // activation starts within the same atomic step, exactly as the paper's
-  // activation semantics prescribes (see the historic stack.cpp comment).
+  // activation semantics prescribes.
   if (reset_ != nullptr) reset_->tick(ctx);
   if (snapshot_ != nullptr) snapshot_->tick(ctx);
   if (detect_ != nullptr) detect_->tick(ctx);
@@ -527,8 +525,8 @@ bool ServiceHost::tick_enabled() const {
 }
 
 void ServiceHost::randomize(Rng& rng) {
-  // Protocol layers only, in the historic wrapper order (pinned draw
-  // streams); session records are driver-side application state.
+  // Protocol layers only, in stack order (pinned draw streams); session
+  // records are driver-side application state.
   if (pif_ != nullptr) pif_->randomize(rng);
   if (idl_ != nullptr) idl_->randomize(rng);
   if (me_ != nullptr) me_->randomize(rng);

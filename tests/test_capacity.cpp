@@ -11,9 +11,9 @@
 #include <memory>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -27,15 +27,16 @@ TEST_P(CapacitySweep, SpecHoldsWhenBoundMatchesChannels) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Simulator sim(3, static_cast<std::size_t>(c), seed);
     for (int i = 0; i < 3; ++i)
-      sim.add_process(std::make_unique<PifProcess>(2, c));
+      sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .degree = 2, .channel_capacity = c}));
     Rng rng(seed * 31);
     sim::FuzzOptions opts;
     opts.flag_limit = 2 * c + 2;
     sim::fuzz(sim, rng, opts);
     sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-    request_pif(sim, 0, Value::text("bounded"));
+    sim.process_as<svc::ServiceHost>(0).pif().request(Value::text("bounded"));
     const auto reason = sim.run(600'000, [](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().done();
+      return s.process_as<svc::ServiceHost>(0).pif().done();
     });
     ASSERT_EQ(reason, Simulator::StopReason::Predicate)
         << "c=" << c << " seed=" << seed;
@@ -54,21 +55,23 @@ TEST(CapacityMismatch, UnderestimatedBoundAdmitsGhostDecision) {
   // entire flag range on stale data and decides although q never received
   // the broadcast — exactly why Theorem 1 needs the bound to be *known*.
   Simulator sim(2, /*channel capacity=*/4, 1);
-  sim.add_process(std::make_unique<PifProcess>(1, /*believed capacity=*/1));
-  sim.add_process(std::make_unique<PifProcess>(1, 1));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1}));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1}));
   auto& net = sim.network();
   for (std::int32_t flag : {0, 1, 2, 3})
     net.channel(1, 0).push(
         Message::pif(Value::text("stale"), Value::text("stale"), 0, flag));
 
-  request_pif(sim, 0, Value::text("real"));
+  sim.process_as<svc::ServiceHost>(0).pif().request(Value::text("real"));
   // Drive adversarially: p ticks (starts), then consumes the four stale
   // echoes, then decides — q is never activated at all.
   sim.execute(sim::Step::tick(0));
   for (int i = 0; i < 4; ++i) sim.execute(sim::Step::deliver(1, 0));
   sim.execute(sim::Step::tick(0));
 
-  EXPECT_TRUE(sim.process_as<PifProcess>(0).pif().done());
+  EXPECT_TRUE(sim.process_as<svc::ServiceHost>(0).pif().done());
   const auto report = check_pif_spec(
       sim, {.require_termination = false, .require_start = false});
   ASSERT_FALSE(report.ok());  // the ghost decision is a genuine violation
@@ -83,24 +86,26 @@ TEST(CapacityMismatch, CorrectBoundSurvivesTheSameAttack) {
   // (flags 0..10): the four stale echoes burn at most 4 of the 10 required
   // increments, so no ghost decision is possible.
   Simulator sim(2, 4, 1);
-  sim.add_process(std::make_unique<PifProcess>(1, 4));
-  sim.add_process(std::make_unique<PifProcess>(1, 4));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1, .channel_capacity = 4}));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1, .channel_capacity = 4}));
   auto& net = sim.network();
   for (std::int32_t flag : {0, 1, 2, 3})
     net.channel(1, 0).push(
         Message::pif(Value::text("stale"), Value::text("stale"), 0, flag));
 
-  request_pif(sim, 0, Value::text("real"));
+  sim.process_as<svc::ServiceHost>(0).pif().request(Value::text("real"));
   sim.execute(sim::Step::tick(0));
   for (int i = 0; i < 4; ++i) sim.execute(sim::Step::deliver(1, 0));
   sim.execute(sim::Step::tick(0));
-  EXPECT_FALSE(sim.process_as<PifProcess>(0).pif().done());
+  EXPECT_FALSE(sim.process_as<svc::ServiceHost>(0).pif().done());
 
   // And with a fair scheduler the computation completes correctly.
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(3));
   ASSERT_EQ(sim.run(300'000,
                     [](Simulator& s) {
-                      return s.process_as<PifProcess>(0).pif().done();
+                      return s.process_as<svc::ServiceHost>(0).pif().done();
                     }),
             Simulator::StopReason::Predicate);
   const auto report = check_pif_spec(
@@ -115,22 +120,24 @@ TEST(CapacityMismatch, WorstCaseStaleIncrementsAreTwoCPlusOne) {
   // is tight for c = 2: 5 stale increments are achievable, 6 are not.
   const int c = 2;
   Simulator sim(2, static_cast<std::size_t>(c), 1);
-  sim.add_process(std::make_unique<PifProcess>(1, c));
-  sim.add_process(std::make_unique<PifProcess>(1, c));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1, .channel_capacity = c}));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1, .channel_capacity = c}));
   auto& net = sim.network();
   // q -> p: echoes 0 and 1 (2 stale increments).
   net.channel(1, 0).push(Message::pif(Value::none(), Value::none(), 0, 0));
   net.channel(1, 0).push(Message::pif(Value::none(), Value::none(), 0, 1));
   // q's stale NeigState echoes 2 once q transmits (1 stale increment).
-  sim.process_as<PifProcess>(1).pif().mutable_state().neig_state[0] = 2;
-  sim.process_as<PifProcess>(1).pif().request(Value::text("mq"));
+  sim.process_as<svc::ServiceHost>(1).pif().mutable_state().neig_state[0] = 2;
+  sim.process_as<svc::ServiceHost>(1).pif().request(Value::text("mq"));
   // p -> q: stale messages carrying flags 3 and 4: q echoes them
   // (2 more stale increments).
   net.channel(0, 1).push(Message::pif(Value::none(), Value::none(), 3, 0));
   net.channel(0, 1).push(Message::pif(Value::none(), Value::none(), 4, 0));
 
-  request_pif(sim, 0, Value::text("m"));
-  auto& p = sim.process_as<PifProcess>(0).pif();
+  sim.process_as<svc::ServiceHost>(0).pif().request(Value::text("m"));
+  auto& p = sim.process_as<svc::ServiceHost>(0).pif();
 
   sim.execute(sim::Step::tick(0));           // start; sends die on full 0->1
   sim.execute(sim::Step::deliver(1, 0));     // stale echo 0   -> State 1
@@ -148,7 +155,7 @@ TEST(CapacityMismatch, WorstCaseStaleIncrementsAreTwoCPlusOne) {
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(9));
   ASSERT_EQ(sim.run(300'000,
                     [](Simulator& s) {
-                      return s.process_as<PifProcess>(0).pif().done();
+                      return s.process_as<svc::ServiceHost>(0).pif().done();
                     }),
             Simulator::StopReason::Predicate);
   const auto report = check_pif_spec(

@@ -12,17 +12,14 @@
 #include <set>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/adversary.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab {
 namespace {
 
-using core::IdlProcess;
-using core::MeStackProcess;
-using core::PifProcess;
 using sim::Simulator;
 
 // The chaos soak: SNAPSTAB_CHAOS_EXTRA_SEEDS=<k> appends k extra seeds
@@ -40,7 +37,8 @@ std::vector<std::uint64_t> campaign_seeds(std::vector<std::uint64_t> base) {
 TEST(Adversary, StrikeHitsRoughlyTheConfiguredFraction) {
   Simulator sim(8, 1, 1);
   for (int i = 0; i < 8; ++i)
-    sim.add_process(std::make_unique<PifProcess>(7, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = 7}));
   sim::Adversary adversary(3, {.process_probability = 0.5,
                                .channel_probability = 0.25});
   int processes = 0;
@@ -59,7 +57,8 @@ TEST(Adversary, StrikeHitsRoughlyTheConfiguredFraction) {
 TEST(Adversary, StrikeReportNamesEveryVictim) {
   Simulator sim(6, 1, 4);
   for (int i = 0; i < 6; ++i)
-    sim.add_process(std::make_unique<PifProcess>(5, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = 5}));
   sim::Adversary adversary(9, {.process_probability = 0.5,
                                .channel_probability = 0.5});
   const auto report = adversary.strike(sim);
@@ -85,7 +84,8 @@ TEST(Adversary, StrikeReportNamesEveryVictim) {
 TEST(Adversary, RespectsChannelCapacity) {
   Simulator sim(3, 2, 1);
   for (int i = 0; i < 3; ++i)
-    sim.add_process(std::make_unique<PifProcess>(2, 2));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = 2, .channel_capacity = 2}));
   sim::Adversary adversary(5, {.channel_probability = 1.0, .flag_limit = 6});
   adversary.strike(sim);
   for (int s = 0; s < 3; ++s)
@@ -102,7 +102,8 @@ TEST_P(PifChaos, EveryPostStrikeRequestServedCorrectly) {
   const int n = 4;
   Simulator sim(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    sim.add_process(std::make_unique<PifProcess>(n - 1, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
   sim::Adversary adversary(seed + 2);
 
@@ -110,9 +111,11 @@ TEST_P(PifChaos, EveryPostStrikeRequestServedCorrectly) {
     const auto report = adversary.strike(sim);
     const Value payload = Value::integer(9'000'000 + round);
     const std::size_t log_mark = sim.log().events().size();
-    core::request_pif(sim, round % n, payload);
+    // Requested straight on the scrambled layer: Request := Wait restarts
+    // whatever ghost computation the strike left behind.
+    sim.process_as<svc::ServiceHost>(round % n).pif().request(payload);
     const auto reason = sim.run(500'000, [round, n](Simulator& s) {
-      return s.process_as<PifProcess>(round % n).pif().done();
+      return s.process_as<svc::ServiceHost>(round % n).pif().done();
     });
     ASSERT_EQ(reason, Simulator::StopReason::Predicate)
         << "seed " << seed << " round " << round << " did not terminate; "
@@ -156,21 +159,22 @@ TEST_P(IdlChaos, LearnsExactTablesAfterEveryStrike) {
   const int n = static_cast<int>(ids.size());
   Simulator sim(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    sim.add_process(std::make_unique<IdlProcess>(
-        ids[static_cast<std::size_t>(i)], n - 1, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = ids[static_cast<std::size_t>(i)], .degree = n - 1,
+        .with_idl = true}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
   sim::Adversary adversary(seed + 2);
 
   for (int round = 0; round < 10; ++round) {
     const auto report = adversary.strike(sim);
     const int initiator = round % n;
-    core::request_idl(sim, initiator);
+    sim.process_as<svc::ServiceHost>(initiator).idl().request();
     const auto reason = sim.run(500'000, [initiator](Simulator& s) {
-      return s.process_as<IdlProcess>(initiator).idl().done();
+      return s.process_as<svc::ServiceHost>(initiator).idl().done();
     });
     ASSERT_EQ(reason, Simulator::StopReason::Predicate)
         << "seed " << seed << " round " << round << "; " << report.summary();
-    EXPECT_EQ(sim.process_as<IdlProcess>(initiator).idl().min_id(), 20)
+    EXPECT_EQ(sim.process_as<svc::ServiceHost>(initiator).idl().min_id(), 20)
         << "seed " << seed << " round " << round << "; " << report.summary();
   }
 }
@@ -186,7 +190,8 @@ TEST_P(MeChaos, ExclusionSurvivesRepeatedStrikes) {
   const int n = 3;
   Simulator sim(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    sim.add_process(std::make_unique<MeStackProcess>(i + 1, n - 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = i + 1, .degree = n - 1, .with_me = true}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
   sim::Adversary adversary(seed + 2);
 
@@ -198,24 +203,24 @@ TEST_P(MeChaos, ExclusionSurvivesRepeatedStrikes) {
     while (any_in_cs) {
       any_in_cs = false;
       for (int p = 0; p < n; ++p)
-        if (sim.process_as<MeStackProcess>(p).me().in_cs()) any_in_cs = true;
+        if (sim.process_as<svc::ServiceHost>(p).me().in_cs()) any_in_cs = true;
       if (any_in_cs) sim.run(500);
     }
     const auto report = adversary.strike(sim);
     // Clear any fuzz-planted ghost CS so the round is well-defined.
     for (int p = 0; p < n; ++p)
-      sim.process_as<MeStackProcess>(p).me().mutable_state().cs_remaining = 0;
+      sim.process_as<svc::ServiceHost>(p).me().mutable_state().cs_remaining = 0;
 
     const int requester = round % n;
     const std::size_t log_mark = sim.log().events().size();
     // The fuzzed request variable may not be Done; force the round's
     // request through the same path the application would use.
-    auto& me = sim.process_as<MeStackProcess>(requester).me();
+    auto& me = sim.process_as<svc::ServiceHost>(requester).me();
     me.mutable_state().request = core::RequestState::Done;
     me.mutable_state().externally_requested = false;
-    ASSERT_TRUE(core::request_cs(sim, requester));
+    ASSERT_TRUE(me.request_cs());
     const auto reason = sim.run(3'000'000, [requester](Simulator& s) {
-      return s.process_as<MeStackProcess>(requester).me().request_state() ==
+      return s.process_as<svc::ServiceHost>(requester).me().request_state() ==
              core::RequestState::Done;
     });
     ASSERT_EQ(reason, Simulator::StopReason::Predicate)
@@ -240,12 +245,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MeChaos,
 
 TEST(Timeline, RendersFilteredEvents) {
   Simulator sim(2, 1, 1);
-  sim.add_process(std::make_unique<PifProcess>(1, 1));
-  sim.add_process(std::make_unique<PifProcess>(1, 1));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1}));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  core::request_pif(sim, 0, Value::text("hello"));
+  svc::Client(sim).submit(0, svc::PifBroadcast{Value::text("hello")});
   sim.run(100'000, [](Simulator& s) {
-    return s.process_as<PifProcess>(0).pif().done();
+    return s.process_as<svc::ServiceHost>(0).pif().done();
   });
 
   const std::string all = sim::render_timeline(sim.log());

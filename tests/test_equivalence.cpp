@@ -54,8 +54,9 @@ TEST(Equivalence, ExplicitCompleteTopologyMatchesHistoricConstructor) {
                          sim::Topology::complete(5), std::size_t{1}, 21)
                    : std::make_unique<sim::Simulator>(5, 1, 21);
     for (int i = 0; i < 5; ++i)
-      sim->add_process(std::make_unique<core::PifProcess>(4, 1));
-    sim->process_as<core::PifProcess>(2).pif().request(Value::integer(7));
+      sim->add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .degree = 4}));
+    sim->process_as<svc::ServiceHost>(2).pif().request(Value::integer(7));
     sim->set_scheduler(std::make_unique<sim::RandomScheduler>(21));
     sim->run(100'000, golden::all_pif_done);
     return golden::render(*sim);

@@ -601,7 +601,8 @@ TEST_P(FaultChaos, MidFaultTerminalAndPostFaultServed) {
   }
   svc::AwaitOptions bw;
   bw.max_steps = 5'000'000;
-  ASSERT_TRUE(client.run_until(post, bw)) << plan.repro_line();
+  ASSERT_EQ(client.await_all(post, bw), svc::AwaitResult::Done)
+      << plan.repro_line();
   for (std::size_t i = 0; i < post.size(); ++i) {
     const svc::SessionResult r = client.result(post[i]);
     EXPECT_TRUE(r.completed) << plan.repro_line();
@@ -696,7 +697,8 @@ TEST_P(StormChaos, MidStormTerminalAndPostStormServed) {
   }
   svc::AwaitOptions bw;
   bw.max_steps = 5'000'000;
-  ASSERT_TRUE(client.run_until(post, bw)) << plan.repro_line();
+  ASSERT_EQ(client.await_all(post, bw), svc::AwaitResult::Done)
+      << plan.repro_line();
   for (std::size_t i = 0; i < post.size(); ++i) {
     const svc::SessionResult r = client.result(post[i]);
     EXPECT_TRUE(r.completed) << plan.repro_line();

@@ -23,12 +23,12 @@
 #include "sim/adversary.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab {
 namespace {
 
 using core::Forward;
-using core::ForwardProcess;
 using sim::RoutingTable;
 using sim::Simulator;
 using sim::Topology;
@@ -128,25 +128,33 @@ std::function<bool(Simulator&)> delivered_at_least(int expected) {
   };
 }
 
+// Submits a ForwardMsg session; true iff the service admitted it (only an
+// admitted submission records its FwdSubmit event).
+bool submit(Simulator& sim, int origin, int dst, const Value& payload) {
+  return svc::Client(sim)
+      .submit(origin, svc::ForwardMsg{dst, payload})
+      .accepted();
+}
+
 TEST(Forwarding, SingleHopDeliversExactlyOnce) {
   auto sim = core::forward_world(Topology::line(2), 1, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(1));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 1, Value::integer(kBase)));
+  ASSERT_TRUE(submit(*sim, 0, 1, Value::integer(kBase)));
   ASSERT_EQ(sim->run(100'000, delivered_at_least(1)),
             Simulator::StopReason::Predicate);
   const auto report = core::check_forward_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_EQ(sim->process_as<ForwardProcess>(1).forward().delivered_count(),
+  EXPECT_EQ(sim->process_as<svc::ServiceHost>(1).forward().delivered_count(),
             1u);
 }
 
 TEST(Forwarding, MultiHopCrossTrafficOnALine) {
   auto sim = core::forward_world(Topology::line(5), 1, 2);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 4, Value::integer(kBase + 0)));
-  ASSERT_TRUE(core::request_forward(*sim, 4, 0, Value::integer(kBase + 1)));
-  ASSERT_TRUE(core::request_forward(*sim, 1, 3, Value::integer(kBase + 2)));
-  ASSERT_TRUE(core::request_forward(*sim, 2, 2, Value::integer(kBase + 3)));
+  ASSERT_TRUE(submit(*sim, 0, 4, Value::integer(kBase + 0)));
+  ASSERT_TRUE(submit(*sim, 4, 0, Value::integer(kBase + 1)));
+  ASSERT_TRUE(submit(*sim, 1, 3, Value::integer(kBase + 2)));
+  ASSERT_TRUE(submit(*sim, 2, 2, Value::integer(kBase + 3)));
   ASSERT_EQ(sim->run(2'000'000, delivered_at_least(4)),
             Simulator::StopReason::Predicate);
   const auto report = core::check_forward_spec(*sim);
@@ -154,7 +162,7 @@ TEST(Forwarding, MultiHopCrossTrafficOnALine) {
   // The relays actually relayed (0 -> 4 crosses three intermediate nodes).
   std::uint64_t relayed = 0;
   for (int p = 0; p < 5; ++p)
-    relayed += sim->process_as<ForwardProcess>(p).forward().relayed_count();
+    relayed += sim->process_as<svc::ServiceHost>(p).forward().relayed_count();
   EXPECT_GE(relayed, 6u);
 }
 
@@ -162,10 +170,10 @@ TEST(Forwarding, SelfAddressedSubmissionDeliversLocally) {
   auto sim = core::forward_world(Topology::line(2), 1, 3,
                                  Forward::Options{.hop_buffer = 2});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(3));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 0, Value::integer(kBase)));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 0, Value::integer(kBase + 1)));
+  ASSERT_TRUE(submit(*sim, 0, 0, Value::integer(kBase)));
+  ASSERT_TRUE(submit(*sim, 0, 0, Value::integer(kBase + 1)));
   // The local delivery queue honors the same hop_buffer bound as out-links.
-  EXPECT_FALSE(core::request_forward(*sim, 0, 0, Value::integer(kBase + 2)));
+  EXPECT_FALSE(submit(*sim, 0, 0, Value::integer(kBase + 2)));
   ASSERT_EQ(sim->run(10'000, delivered_at_least(2)),
             Simulator::StopReason::Predicate);
   EXPECT_TRUE(core::check_forward_spec(*sim).ok());
@@ -173,7 +181,7 @@ TEST(Forwarding, SelfAddressedSubmissionDeliversLocally) {
 
 TEST(Forwarding, RejectsDestinationsOutsideTheTopology) {
   auto sim = core::forward_world(Topology::line(3), 1, 4);
-  auto& fwd = sim->process_as<ForwardProcess>(0).forward();
+  auto& fwd = sim->process_as<svc::ServiceHost>(0).forward();
   EXPECT_EQ(fwd.submit(Value::integer(1), -1), core::ForwardSubmit::NoRoute);
   EXPECT_EQ(fwd.submit(Value::integer(1), 3), core::ForwardSubmit::NoRoute);
 }
@@ -188,10 +196,10 @@ TEST(Forwarding, FullFirstHopBufferRefusesWithoutLosingAcceptedPayloads) {
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(5));
   // Two submissions fill the first hop (one active + one queued); the third
   // is refused and records nothing.
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 0)));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 1)));
-  // submit() alone would also refuse — request_forward must not log it.
-  EXPECT_FALSE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 2)));
+  ASSERT_TRUE(submit(*sim, 0, 2, Value::integer(kBase + 0)));
+  ASSERT_TRUE(submit(*sim, 0, 2, Value::integer(kBase + 1)));
+  // The refused session records nothing.
+  EXPECT_FALSE(submit(*sim, 0, 2, Value::integer(kBase + 2)));
   ASSERT_EQ(sim->run(1'000'000, delivered_at_least(2)),
             Simulator::StopReason::Predicate);
   const auto report = core::check_forward_spec(*sim);
@@ -203,10 +211,10 @@ TEST(Forwarding, BackpressureStallsTheHandshakeInsteadOfDropping) {
   auto sim = core::forward_world(Topology::line(3), 1, 6,
                                  Forward::Options{.hop_buffer = 1});
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 0)));
+  ASSERT_TRUE(submit(*sim, 0, 2, Value::integer(kBase + 0)));
   ASSERT_EQ(sim->run(1'000'000, delivered_at_least(1)),
             Simulator::StopReason::Predicate);
-  ASSERT_TRUE(core::request_forward(*sim, 0, 2, Value::integer(kBase + 1)));
+  ASSERT_TRUE(submit(*sim, 0, 2, Value::integer(kBase + 1)));
   ASSERT_EQ(sim->run(1'000'000, delivered_at_least(2)),
             Simulator::StopReason::Predicate);
   const auto report = core::check_forward_spec(*sim);
@@ -269,8 +277,7 @@ TEST_P(ForwardingSnap, EveryPostInitSendDeliveredExactlyOnce) {
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
     const auto dst =
         static_cast<int>(pick.below(static_cast<std::uint64_t>(n)));
-    if (core::request_forward(*sim, origin, dst,
-                              Value::integer(kBase + accepted)))
+    if (submit(*sim, origin, dst, Value::integer(kBase + accepted)))
       ++accepted;
   }
 
@@ -330,7 +337,7 @@ TEST(Forwarding, SurvivesRepeatedAdversaryStrikes) {
     const int origin = round % 5;
     const int dst = (round + 2) % 5;
     const Value payload = Value::integer(kBase + round);
-    ASSERT_TRUE(core::request_forward(*sim, origin, dst, payload));
+    ASSERT_TRUE(submit(*sim, origin, dst, payload));
     // Snap-stabilization, per round: the payload submitted *after* this
     // strike reaches its destination. (Remnants of earlier rounds may
     // lawfully re-surface after later strikes — the paper's unexpected
@@ -365,14 +372,15 @@ TEST(Forwarding, DeliversAcrossThreadRuntimeMailboxes) {
   auto routes = std::make_shared<const RoutingTable>(topo);
   runtime::ThreadRuntime rt(topo, {.seed = 11});
   for (int p = 0; p < 4; ++p)
-    rt.add_process(std::make_unique<ForwardProcess>(p, topo.degree(p),
-                                                    routes));
-  rt.with_process<ForwardProcess>(0, [](ForwardProcess& p) {
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = topo.degree(p), .with_pif = false, .routes = routes,
+        .self = p}));
+  rt.with_process<svc::ServiceHost>(0, [](svc::ServiceHost& p) {
     return p.forward().submit(Value::integer(kBase), 2);  // two hops away
   });
   const bool ok = rt.run(
       [&rt] {
-        return rt.with_process<ForwardProcess>(2, [](ForwardProcess& p) {
+        return rt.with_process<svc::ServiceHost>(2, [](svc::ServiceHost& p) {
           return p.forward().delivered_count() >= 1;
         });
       },

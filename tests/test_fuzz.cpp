@@ -1,9 +1,9 @@
 // test_fuzz.cpp — arbitrary initial configurations respect the model.
 #include <gtest/gtest.h>
 
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/host.hpp"
 #include "test_util.hpp"
 
 namespace snapstab::sim {
@@ -63,12 +63,13 @@ TEST(Fuzz, ProcessStatesAreRandomized) {
   auto snapshot = [](std::uint64_t seed) {
     Simulator sim(3, 1, 1);
     for (int i = 0; i < 3; ++i)
-      sim.add_process(std::make_unique<core::MeStackProcess>(i + 1, 2));
+      sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+          .id = i + 1, .degree = 2, .with_me = true}));
     Rng rng(seed);
     fuzz(sim, rng, FuzzOptions{.channels = false});
     std::vector<int> state;
     for (int p = 0; p < 3; ++p) {
-      auto& stack = sim.process_as<core::MeStackProcess>(p);
+      auto& stack = sim.process_as<svc::ServiceHost>(p);
       state.push_back(static_cast<int>(stack.pif().state().request));
       state.push_back(stack.me().phase());
       state.push_back(stack.me().value());
@@ -83,11 +84,12 @@ TEST(Fuzz, ProcessStatesAreRandomized) {
 TEST(Fuzz, DomainsRespectedForProtocolStacks) {
   Simulator sim(4, 1, 1);
   for (int i = 0; i < 4; ++i)
-    sim.add_process(std::make_unique<core::MeStackProcess>(i * 10, 3));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = i * 10, .degree = 3, .with_me = true}));
   Rng rng(31);
   fuzz(sim, rng);
   for (int p = 0; p < 4; ++p) {
-    auto& stack = sim.process_as<core::MeStackProcess>(p);
+    auto& stack = sim.process_as<svc::ServiceHost>(p);
     const auto& pst = stack.pif().state();
     for (int ch = 0; ch < 3; ++ch) {
       EXPECT_GE(pst.state[static_cast<std::size_t>(ch)], 0);

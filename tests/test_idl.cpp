@@ -4,9 +4,9 @@
 #include <memory>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -15,19 +15,19 @@ using sim::Simulator;
 
 std::unique_ptr<Simulator> idl_world(const std::vector<std::int64_t>& ids,
                                      std::uint64_t seed) {
-  const int n = static_cast<int>(ids.size());
-  auto sim = std::make_unique<Simulator>(n, 1, seed);
-  for (int i = 0; i < n; ++i)
-    sim->add_process(std::make_unique<IdlProcess>(
-        ids[static_cast<std::size_t>(i)], n - 1, 1));
-  return sim;
+  return svc::service_world(
+      sim::Topology::complete(static_cast<int>(ids.size())), 1, seed,
+      [&](int p) {
+        return svc::HostConfig{.id = ids[static_cast<std::size_t>(p)],
+                               .with_idl = true};
+      });
 }
 
 SpecReport check(Simulator& sim, const std::vector<std::int64_t>& ids) {
   return check_idl_spec(
       sim,
       [&sim](sim::ProcessId p) -> const Idl& {
-        return sim.process_as<IdlProcess>(p).idl();
+        return sim.process_as<svc::ServiceHost>(p).idl();
       },
       ids);
 }
@@ -36,13 +36,13 @@ TEST(Idl, LearnsIdsFromCleanState) {
   const std::vector<std::int64_t> ids = {42, 17, 88, 5};
   auto sim = idl_world(ids, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  request_idl(*sim, 0);
+  sim->process_as<svc::ServiceHost>(0).idl().request();
   ASSERT_EQ(sim->run(400'000,
                      [](Simulator& s) {
-                       return s.process_as<IdlProcess>(0).idl().done();
+                       return s.process_as<svc::ServiceHost>(0).idl().done();
                      }),
             Simulator::StopReason::Predicate);
-  const Idl& idl = sim->process_as<IdlProcess>(0).idl();
+  const Idl& idl = sim->process_as<svc::ServiceHost>(0).idl();
   EXPECT_EQ(idl.min_id(), 5);
   // Channel k of process 0 is process k+1.
   EXPECT_EQ(idl.id_tab(0), 17);
@@ -56,26 +56,26 @@ TEST(Idl, MinIncludesOwnId) {
   const std::vector<std::int64_t> ids = {3, 17, 88};
   auto sim = idl_world(ids, 3);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(4));
-  request_idl(*sim, 0);
+  sim->process_as<svc::ServiceHost>(0).idl().request();
   ASSERT_EQ(sim->run(400'000,
                      [](Simulator& s) {
-                       return s.process_as<IdlProcess>(0).idl().done();
+                       return s.process_as<svc::ServiceHost>(0).idl().done();
                      }),
             Simulator::StopReason::Predicate);
-  EXPECT_EQ(sim->process_as<IdlProcess>(0).idl().min_id(), 3);
+  EXPECT_EQ(sim->process_as<svc::ServiceHost>(0).idl().min_id(), 3);
 }
 
 TEST(Idl, NegativeIdsSupported) {
   const std::vector<std::int64_t> ids = {-7, 0, 12};
   auto sim = idl_world(ids, 5);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  request_idl(*sim, 2);
+  sim->process_as<svc::ServiceHost>(2).idl().request();
   ASSERT_EQ(sim->run(400'000,
                      [](Simulator& s) {
-                       return s.process_as<IdlProcess>(2).idl().done();
+                       return s.process_as<svc::ServiceHost>(2).idl().done();
                      }),
             Simulator::StopReason::Predicate);
-  EXPECT_EQ(sim->process_as<IdlProcess>(2).idl().min_id(), -7);
+  EXPECT_EQ(sim->process_as<svc::ServiceHost>(2).idl().min_id(), -7);
   EXPECT_TRUE(check(*sim, ids).ok());
 }
 
@@ -97,10 +97,11 @@ TEST_P(IdlProperty, Specification2FromArbitraryConfigurations) {
       seed + 1, sim::LossOptions{.rate = loss, .max_consecutive = 5}));
 
   // Every process runs a requested computation.
-  for (int p = 0; p < n; ++p) request_idl(*sim, p);
+  for (int p = 0; p < n; ++p)
+    sim->process_as<svc::ServiceHost>(p).idl().request();
   const auto reason = sim->run(1'500'000, [n](Simulator& s) {
     for (int p = 0; p < n; ++p) {
-      const auto& idl = s.process_as<IdlProcess>(p).idl();
+      const auto& idl = s.process_as<svc::ServiceHost>(p).idl();
       if (!idl.done()) return false;
     }
     return true;
@@ -121,12 +122,12 @@ TEST(Idl, GhostComputationCarriesNoGuaranteeButTerminates) {
   // garbage results; it must terminate nonetheless (Termination property).
   const std::vector<std::int64_t> ids = {9, 4};
   auto sim = idl_world(ids, 31);
-  auto& idl0 = sim->process_as<IdlProcess>(0).idl();
+  auto& idl0 = sim->process_as<svc::ServiceHost>(0).idl();
   idl0.mutable_state().request = RequestState::In;
   idl0.mutable_state().min_id = -12345;  // garbage accumulator
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(32));
   const auto reason = sim->run(300'000, [](Simulator& s) {
-    return s.process_as<IdlProcess>(0).idl().done();
+    return s.process_as<svc::ServiceHost>(0).idl().done();
   });
   EXPECT_EQ(reason, Simulator::StopReason::Predicate);
 }
@@ -139,13 +140,13 @@ TEST(Idl, RepeatedComputationsRefreshResults) {
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(34));
   for (int round = 0; round < 3; ++round) {
     // Poison the table between computations.
-    auto& idl = sim->process_as<IdlProcess>(0).idl();
+    auto& idl = sim->process_as<svc::ServiceHost>(0).idl();
     idl.mutable_state().min_id = 999;
     idl.mutable_state().id_tab[0] = 777;
-    request_idl(*sim, 0);
+    sim->process_as<svc::ServiceHost>(0).idl().request();
     ASSERT_EQ(sim->run(300'000,
                        [](Simulator& s) {
-                         return s.process_as<IdlProcess>(0).idl().done();
+                         return s.process_as<svc::ServiceHost>(0).idl().done();
                        }),
               Simulator::StopReason::Predicate);
     EXPECT_EQ(idl.min_id(), 50);
@@ -163,7 +164,7 @@ TEST(Idl, GhostFeedbackInTheStartWindowCannotPoisonMinId) {
   // already reset (no match, no ghost fck).
   const std::vector<std::int64_t> ids = {100, 200};
   auto sim = idl_world(ids, 71);
-  auto& proc = sim->process_as<IdlProcess>(0);
+  auto& proc = sim->process_as<svc::ServiceHost>(0);
   // Corrupted PIF state: the handshake with the neighbor looks one step
   // from completion (flag 3), and a matching echo is already in flight
   // carrying a tiny garbage feedback value.
@@ -171,7 +172,7 @@ TEST(Idl, GhostFeedbackInTheStartWindowCannotPoisonMinId) {
   sim->network().channel(1, 0).push(
       Message::pif(Value::none(), Value::integer(-999), 0, 3));
 
-  request_idl(*sim, 0);
+  sim->process_as<svc::ServiceHost>(0).idl().request();
   sim->execute(sim::Step::tick(0));      // IDL A1 + PIF A1 atomically
   sim->execute(sim::Step::deliver(1, 0));  // the adversarial echo arrives
   EXPECT_EQ(proc.idl().min_id(), 100) << "ghost feedback poisoned minID";
@@ -180,7 +181,7 @@ TEST(Idl, GhostFeedbackInTheStartWindowCannotPoisonMinId) {
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(72));
   ASSERT_EQ(sim->run(300'000,
                      [](sim::Simulator& s) {
-                       return s.process_as<IdlProcess>(0).idl().done();
+                       return s.process_as<svc::ServiceHost>(0).idl().done();
                      }),
             sim::Simulator::StopReason::Predicate);
   EXPECT_EQ(proc.idl().min_id(), 100);

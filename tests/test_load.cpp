@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/stack.hpp"
 #include "load/histogram.hpp"
 #include "load/workload.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::load {
 namespace {
@@ -141,7 +141,8 @@ TEST(LoadHistogram, MergeIsAssociativeAndCommutative) {
 TEST(LoadRecycle, HostSessionMapStaysEmptyAcrossRecycledSessions) {
   auto sim = std::make_unique<sim::Simulator>(2, 1, 45);
   for (int i = 0; i < 2; ++i)
-    sim->add_process(std::make_unique<core::PifProcess>(1, 1));
+    sim->add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = 1}));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(45));
   svc::Client client(*sim);
   auto& host = sim->process_as<svc::ServiceHost>(0);
@@ -149,7 +150,7 @@ TEST(LoadRecycle, HostSessionMapStaysEmptyAcrossRecycledSessions) {
     const svc::Session s =
         client.submit(0, svc::PifBroadcast{Value::integer(i)});
     EXPECT_EQ(host.session_count(), 1);
-    ASSERT_TRUE(client.run_until(s));
+    ASSERT_EQ(client.await_all({s}), svc::AwaitResult::Done);
     client.release(s);
     EXPECT_EQ(host.session_count(), 0) << "iteration " << i;
   }

@@ -5,9 +5,9 @@
 #include <memory>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -16,17 +16,17 @@ using sim::Simulator;
 
 std::unique_ptr<Simulator> me_world(const std::vector<std::int64_t>& ids,
                                     std::uint64_t seed,
-                                    StackOptions options = {}) {
-  const int n = static_cast<int>(ids.size());
-  auto sim = std::make_unique<Simulator>(n, 1, seed);
-  for (int i = 0; i < n; ++i)
-    sim->add_process(std::make_unique<MeStackProcess>(
-        ids[static_cast<std::size_t>(i)], n - 1, options));
-  return sim;
+                                    MeOptions options = {}) {
+  return svc::service_world(
+      sim::Topology::complete(static_cast<int>(ids.size())), 1, seed,
+      [&](int p) {
+        return svc::HostConfig{.id = ids[static_cast<std::size_t>(p)],
+                               .with_me = true, .me_options = options};
+      });
 }
 
 Me& me_of(Simulator& sim, int p) {
-  return sim.process_as<MeStackProcess>(p).me();
+  return sim.process_as<svc::ServiceHost>(p).me();
 }
 
 bool request_served(Simulator& s, int p) {
@@ -37,7 +37,7 @@ TEST(Me, SingleRequestIsServed) {
   // Lemma 12 (Start): a requesting process enters the CS in finite time.
   auto sim = me_world({30, 10, 20}, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  ASSERT_TRUE(request_cs(*sim, 0));
+  svc::Client(*sim).submit(0, svc::CriticalSection{});
   ASSERT_EQ(sim->run(1'000'000,
                      [](Simulator& s) { return request_served(s, 0); }),
             Simulator::StopReason::Predicate);
@@ -48,7 +48,8 @@ TEST(Me, SingleRequestIsServed) {
 TEST(Me, LeaderItselfCanRequest) {
   auto sim = me_world({10, 30, 20}, 3);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(4));
-  ASSERT_TRUE(request_cs(*sim, 0));  // process 0 holds the smallest id
+  // Process 0 holds the smallest id.
+  svc::Client(*sim).submit(0, svc::CriticalSection{});
   ASSERT_EQ(sim->run(1'000'000,
                      [](Simulator& s) { return request_served(s, 0); }),
             Simulator::StopReason::Predicate);
@@ -58,7 +59,8 @@ TEST(Me, LeaderItselfCanRequest) {
 TEST(Me, AllProcessesRequestingAreAllServedExclusively) {
   auto sim = me_world({5, 9, 2, 7}, 5);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  for (int p = 0; p < 4; ++p) ASSERT_TRUE(request_cs(*sim, p));
+  svc::Client client(*sim);
+  for (int p = 0; p < 4; ++p) client.submit(p, svc::CriticalSection{});
   const auto reason = sim->run(4'000'000, [](Simulator& s) {
     for (int p = 0; p < 4; ++p)
       if (!request_served(s, p)) return false;
@@ -78,8 +80,9 @@ TEST(Me, AllProcessesRequestingAreAllServedExclusively) {
 
 TEST(Me, RequestWhileInServiceIsRejected) {
   auto sim = me_world({1, 2}, 7);
-  ASSERT_TRUE(request_cs(*sim, 0));
-  EXPECT_FALSE(request_cs(*sim, 0));  // paper: no re-request until Done
+  ASSERT_TRUE(me_of(*sim, 0).request_cs());
+  // Paper: no re-request until Done.
+  EXPECT_FALSE(me_of(*sim, 0).request_cs());
 }
 
 TEST(Me, FavourRotationVisitsEveryProcess) {
@@ -91,7 +94,7 @@ TEST(Me, FavourRotationVisitsEveryProcess) {
   for (int probe = 0; probe < 12; ++probe) {
     const int before = me_of(*sim, 0).value();
     sim->run(400'000, [before](Simulator& s) {
-      return s.process_as<MeStackProcess>(0).me().value() != before;
+      return s.process_as<svc::ServiceHost>(0).me().value() != before;
     });
     favoured.insert(me_of(*sim, 0).value());
   }
@@ -107,10 +110,10 @@ TEST(Me, ExitForcesEveryoneToPhaseZero) {
   me_of(*sim, 1).mutable_state().phase = 3;
   me_of(*sim, 2).mutable_state().phase = 2;
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(12));
-  ASSERT_TRUE(request_cs(*sim, 0));
+  ASSERT_TRUE(me_of(*sim, 0).request_cs());
   ASSERT_EQ(sim->run(1'000'000,
                      [](Simulator& s) {
-                       return s.process_as<MeStackProcess>(0).me().in_cs();
+                       return s.process_as<svc::ServiceHost>(0).me().in_cs();
                      }),
             Simulator::StopReason::Predicate);
   // The EXIT broadcast was received by both peers before the CS entry.
@@ -131,7 +134,7 @@ TEST(Me, GhostWinnerCannotStealTheCs) {
   ghost.mutable_state().request = RequestState::In;  // ghost "request"
   ghost.mutable_state().privileges = {true, true};
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(14));
-  ASSERT_TRUE(request_cs(*sim, 1));
+  svc::Client(*sim).submit(1, svc::CriticalSection{});
   ASSERT_EQ(sim->run(2'000'000,
                      [](Simulator& s) { return request_served(s, 1); }),
             Simulator::StopReason::Predicate);
@@ -143,13 +146,13 @@ TEST(Me, GhostInsideCsDelaysButDoesNotBreakExclusion) {
   // The footnote-1 adversary: a process starts *inside* a ghost CS. The
   // requesting process must wait it out (the ghost ignores messages while
   // busy) and then be served alone.
-  StackOptions opts;
-  opts.me.cs_length = 5;
+  MeOptions opts;
+  opts.cs_length = 5;
   auto sim = me_world({10, 20}, 15, opts);
   auto& ghost = me_of(*sim, 1);
   ghost.mutable_state().cs_remaining = 5;  // mid-CS at time 0
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(16));
-  ASSERT_TRUE(request_cs(*sim, 0));
+  svc::Client(*sim).submit(0, svc::CriticalSection{});
   ASSERT_EQ(sim->run(2'000'000,
                      [](Simulator& s) { return request_served(s, 0); }),
             Simulator::StopReason::Predicate);
@@ -162,7 +165,7 @@ TEST(Me, ServesRepeatedRequestsFairly) {
   auto sim = me_world({3, 1, 2}, 17);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(18));
   std::vector<int> grants(3, 0);
-  for (int p = 0; p < 3; ++p) request_cs(*sim, p);
+  for (int p = 0; p < 3; ++p) me_of(*sim, p).request_cs();
   for (int iteration = 0; iteration < 40; ++iteration) {
     sim->run(300'000, [](Simulator& s) {
       for (int p = 0; p < 3; ++p)
@@ -172,7 +175,7 @@ TEST(Me, ServesRepeatedRequestsFairly) {
     for (int p = 0; p < 3; ++p) {
       if (request_served(*sim, p)) {
         ++grants[static_cast<std::size_t>(p)];
-        request_cs(*sim, p);  // immediately request again
+        me_of(*sim, p).request_cs();  // immediately request again
       }
     }
   }
@@ -206,12 +209,12 @@ TEST(Me, WinnerPredicateMatchesPaperDefinition) {
 TEST(Me, PaperFaithfulIncrementDeadlocks) {
   // DESIGN.md §6.1: with A7's literal `(Value+1) mod (n+1)`, Value_L = n
   // favours nobody and the token never advances again — requests starve.
-  StackOptions faithful;
-  faithful.me.paper_faithful_increment = true;
+  MeOptions faithful;
+  faithful.paper_faithful_increment = true;
   auto sim = me_world({10, 20, 30}, 19, faithful);
   me_of(*sim, 0).mutable_state().value = 3;  // n = 3: the poison value
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(20));
-  ASSERT_TRUE(request_cs(*sim, 1));
+  ASSERT_TRUE(me_of(*sim, 1).request_cs());
   EXPECT_EQ(sim->run(400'000,
                      [](Simulator& s) { return request_served(s, 1); }),
             Simulator::StopReason::BudgetExhausted);
@@ -226,19 +229,19 @@ TEST(Me, ModNFixSurvivesTheSamePoisonValue) {
   auto sim = me_world({10, 20, 30}, 21);
   me_of(*sim, 0).mutable_state().value = 2;  // last in-domain value
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(22));
-  ASSERT_TRUE(request_cs(*sim, 1));
+  ASSERT_TRUE(me_of(*sim, 1).request_cs());
   EXPECT_EQ(sim->run(2'000'000,
                      [](Simulator& s) { return request_served(s, 1); }),
             Simulator::StopReason::Predicate);
 }
 
 TEST(Me, CsBodyRunsExactlyOncePerGrant) {
-  StackOptions opts;
+  MeOptions opts;
   int executions = 0;
-  opts.me.cs_body = [&executions] { ++executions; };
+  opts.cs_body = [&executions] { ++executions; };
   auto sim = me_world({10, 20}, 23, opts);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(24));
-  ASSERT_TRUE(request_cs(*sim, 1));
+  ASSERT_TRUE(me_of(*sim, 1).request_cs());
   ASSERT_EQ(sim->run(2'000'000,
                      [](Simulator& s) { return request_served(s, 1); }),
             Simulator::StopReason::Predicate);
@@ -249,10 +252,10 @@ TEST(Me, CsBodyRunsExactlyOncePerGrant) {
 }
 
 TEST(Me, BusyProcessBlocksDeliveries) {
-  StackOptions opts;
-  opts.me.cs_length = 50;
+  MeOptions opts;
+  opts.cs_length = 50;
   auto sim = me_world({10, 20}, 25, opts);
-  auto& stack = sim->process_as<MeStackProcess>(0);
+  auto& stack = sim->process_as<svc::ServiceHost>(0);
   stack.me().mutable_state().cs_remaining = 50;
   EXPECT_TRUE(stack.busy());
   sim->network().channel(1, 0).push(Message::pif(
@@ -279,30 +282,14 @@ TEST_P(MeProperty, Specification3FromArbitraryConfigurations) {
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       seed + 1, sim::LossOptions{.rate = loss, .max_consecutive = 5}));
 
-  // Ghost computations may hold requests hostage initially; requests are
-  // accepted only when Request = Done, so poke until accepted.
-  std::vector<bool> requested(static_cast<std::size_t>(n), false);
+  // Ghost computations may hold a Request hostage initially: each CS
+  // session queues until its layer drains to Done, then starts.
+  svc::Client client(*sim);
+  std::vector<svc::Session> sessions;
   for (int p = 0; p < n; ++p)
-    requested[static_cast<std::size_t>(p)] = request_cs(*sim, p);
-
-  const auto reason = sim->run(6'000'000, [&](Simulator& s) {
-    bool all_served = true;
-    for (int p = 0; p < n; ++p) {
-      auto& me = s.process_as<MeStackProcess>(p).me();
-      auto ri = static_cast<std::size_t>(p);
-      if (!requested[ri]) {
-        // The fuzzed ghost computation has drained; submit the real
-        // request now.
-        if (me.request_state() == RequestState::Done)
-          requested[ri] = request_cs(s, p);
-        all_served = false;
-        continue;
-      }
-      if (me.request_state() != RequestState::Done) all_served = false;
-    }
-    return all_served;
-  });
-  ASSERT_EQ(reason, Simulator::StopReason::Predicate);
+    sessions.push_back(client.submit(p, svc::CriticalSection{}));
+  ASSERT_EQ(client.await_all(sessions, {.max_steps = 6'000'000}),
+            svc::AwaitResult::Done);
 
   const auto report = check_me_spec(*sim);
   EXPECT_TRUE(report.ok()) << report.summary();

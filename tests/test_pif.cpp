@@ -12,9 +12,9 @@
 #include <memory>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -24,16 +24,16 @@ using sim::Step;
 
 std::unique_ptr<Simulator> pif_world(int n, std::uint64_t seed,
                                      int capacity = 1) {
-  auto sim = std::make_unique<Simulator>(
-      n, static_cast<std::size_t>(capacity), seed);
-  for (int i = 0; i < n; ++i)
-    sim->add_process(std::make_unique<PifProcess>(n - 1, capacity));
-  return sim;
+  return svc::service_world(sim::Topology::complete(n),
+                            static_cast<std::size_t>(capacity), seed,
+                            /*config_of=*/nullptr);
 }
 
-bool pif_done(Simulator& s, int p) {
-  return s.process_as<PifProcess>(p).pif().done();
+Pif& pif_of(Simulator& s, int p) {
+  return s.process_as<svc::ServiceHost>(p).pif();
 }
+
+bool pif_done(Simulator& s, int p) { return pif_of(s, p).done(); }
 
 TEST(Pif, ConstructorRejectsZeroCapacity) {
   EXPECT_DEATH(Pif(1, 0), "capacity");
@@ -49,14 +49,14 @@ TEST(Pif, StartsOnRequest) {
   // Lemma 1: when Request = Wait, the starting action eventually executes.
   auto sim = pif_world(2, 1);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(2));
-  request_pif(*sim, 0, Value::text("m"));
-  EXPECT_EQ(sim->process_as<PifProcess>(0).pif().request_state(),
+  pif_of(*sim, 0).request(Value::text("m"));
+  EXPECT_EQ(pif_of(*sim, 0).request_state(),
             RequestState::Wait);
   sim->run(50, [](Simulator& s) {
-    return s.process_as<PifProcess>(0).pif().request_state() !=
+    return pif_of(s, 0).request_state() !=
            RequestState::Wait;
   });
-  EXPECT_EQ(sim->process_as<PifProcess>(0).pif().request_state(),
+  EXPECT_EQ(pif_of(*sim, 0).request_state(),
             RequestState::In);
   // The Start observation was emitted with the broadcast payload.
   bool start_seen = false;
@@ -95,29 +95,29 @@ TEST(Pif, StateAdvancesWhileInProgress) {
   auto sim = pif_world(2, 3);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
       3, sim::LossOptions{.rate = 0.4, .max_consecutive = 4}));
-  request_pif(*sim, 0, Value::text("m"));
+  pif_of(*sim, 0).request(Value::text("m"));
   // Wait for the start action (the flags reset to 0 there).
   ASSERT_EQ(sim->run(50'000,
                      [](Simulator& s) {
-                       const auto& pif = s.process_as<PifProcess>(0).pif();
+                       const auto& pif = pif_of(s, 0);
                        return pif.request_state() == RequestState::In;
                      }),
             Simulator::StopReason::Predicate);
   for (std::int32_t target = 1; target <= 4; ++target) {
     const auto reason = sim->run(50'000, [&](Simulator& s) {
-      return s.process_as<PifProcess>(0).pif().state().state[0] >= target;
+      return pif_of(s, 0).state().state[0] >= target;
     });
     ASSERT_EQ(reason, Simulator::StopReason::Predicate)
         << "never reached " << target;
   }
-  EXPECT_EQ(sim->process_as<PifProcess>(0).pif().state().state[0], 4);
+  EXPECT_EQ(pif_of(*sim, 0).state().state[0], 4);
 }
 
 TEST(Pif, SpecHoldsFromCleanState) {
   for (int n : {2, 3, 5}) {
     auto sim = pif_world(n, static_cast<std::uint64_t>(n) * 7);
     sim->set_scheduler(std::make_unique<sim::RandomScheduler>(4));
-    request_pif(*sim, 0, Value::text("clean"));
+    svc::Client(*sim).submit(0, svc::PifBroadcast{Value::text("clean")});
     const auto reason = sim->run(
         400'000, [](Simulator& s) { return pif_done(s, 0); });
     ASSERT_EQ(reason, Simulator::StopReason::Predicate) << "n=" << n;
@@ -134,7 +134,7 @@ TEST(Pif, SpecHoldsFromCorruptedState) {
     Rng rng(seed * 1009);
     sim::fuzz(*sim, rng);
     sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed + 1));
-    request_pif(*sim, 0, Value::text("post-fault"));
+    pif_of(*sim, 0).request(Value::text("post-fault"));
     const auto reason =
         sim->run(400'000, [](Simulator& s) { return pif_done(s, 0); });
     ASSERT_EQ(reason, Simulator::StopReason::Predicate) << "seed=" << seed;
@@ -155,7 +155,7 @@ TEST(Pif, ExactlyOneFeedbackPerNeighbor) {
   // exactly one receive-fck per neighbor, and the decision follows them.
   auto sim = pif_world(4, 99);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(5));
-  request_pif(*sim, 2, Value::integer(1234));
+  pif_of(*sim, 2).request(Value::integer(1234));
   ASSERT_EQ(sim->run(400'000, [](Simulator& s) { return pif_done(s, 2); }),
             Simulator::StopReason::Predicate);
   int fck = 0;
@@ -197,7 +197,7 @@ TEST(Pif, QuiescesAfterRequestsStop) {
   Rng rng(555);
   sim::fuzz(*sim, rng);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(6));
-  request_pif(*sim, 0, Value::text("final"));
+  pif_of(*sim, 0).request(Value::text("final"));
   const auto reason = sim->run(500'000);
   EXPECT_EQ(reason, Simulator::StopReason::Quiescent);
   EXPECT_EQ(sim->network().total_messages_in_flight(), 0u);
@@ -214,7 +214,7 @@ TEST(Pif, Property1FlushesInitiatorChannels) {
   net.channel(2, 0).push(Message::pif(marker, marker, 0, 0));
   net.channel(0, 2).push(Message::pif(marker, marker, 3, 1));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(8));
-  request_pif(*sim, 0, Value::text("flush"));
+  pif_of(*sim, 0).request(Value::text("flush"));
   ASSERT_EQ(sim->run(400'000, [](Simulator& s) { return pif_done(s, 0); }),
             Simulator::StopReason::Predicate);
   for (int other : {1, 2}) {
@@ -231,8 +231,8 @@ TEST(Pif, Figure1WorstCaseWalkthrough) {
   // q's concurrent computation echoing 1, stale message with flag 2) and p
   // then waits at State = 3 until a genuine round trip completes.
   auto sim = pif_world(2, 1);
-  auto& p = sim->process_as<PifProcess>(0).pif();
-  auto& q = sim->process_as<PifProcess>(1).pif();
+  auto& p = pif_of(*sim, 0);
+  auto& q = pif_of(*sim, 1);
   auto& net = sim->network();
 
   // Adversarial initial configuration.
@@ -242,7 +242,7 @@ TEST(Pif, Figure1WorstCaseWalkthrough) {
       Message::pif(Value::text("stale"), Value::text("stale"), 2, 1));
   q.mutable_state().neig_state[0] = 1;
 
-  request_pif(*sim, 0, Value::text("m"));
+  pif_of(*sim, 0).request(Value::text("m"));
   q.request(Value::text("mq"));  // q starts concurrently (Figure 1)
 
   // p starts: A1 resets State to 0; A2's send dies on the full channel p->q.
@@ -308,11 +308,11 @@ TEST(Pif, StaleDataNeverFakesABroadcast) {
             Message::pif(Value::text("junk"), Value::text("junk"), s1, ns1));
         net.channel(0, 1).push(
             Message::pif(Value::text("junk"), Value::text("junk"), ns1, s1));
-        sim->process_as<PifProcess>(1).pif().mutable_state().neig_state[0] =
+        pif_of(*sim, 1).mutable_state().neig_state[0] =
             qneig;
         sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
             static_cast<std::uint64_t>(s1 * 25 + ns1 * 5 + qneig)));
-        request_pif(*sim, 0, Value::text("real"));
+        pif_of(*sim, 0).request(Value::text("real"));
         ASSERT_EQ(
             sim->run(200'000, [](Simulator& s) { return pif_done(s, 0); }),
             Simulator::StopReason::Predicate);
@@ -330,8 +330,9 @@ TEST(Pif, RerequestRestartsCleanly) {
   // Back-to-back computations: each must independently satisfy the spec.
   auto sim = pif_world(3, 11);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(12));
+  svc::Client client(*sim);
   for (int round = 0; round < 5; ++round) {
-    request_pif(*sim, 0, Value::integer(round));
+    client.submit(0, svc::PifBroadcast{Value::integer(round)});
     ASSERT_EQ(sim->run(400'000, [](Simulator& s) { return pif_done(s, 0); }),
               Simulator::StopReason::Predicate)
         << "round " << round;
@@ -350,16 +351,16 @@ TEST(Pif, InterruptedComputationRestarts) {
   // reset). The restarted computation must still satisfy the spec.
   auto sim = pif_world(2, 13);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(14));
-  request_pif(*sim, 0, Value::text("first"));
+  pif_of(*sim, 0).request(Value::text("first"));
   // Run until the handshake is mid-flight (flag 1 reached, not finished).
   ASSERT_EQ(sim->run(50'000,
                      [](Simulator& s) {
-                       return s.process_as<PifProcess>(0).pif().state()
+                       return pif_of(s, 0).state()
                                   .state[0] >= 1;
                      }),
             Simulator::StopReason::Predicate);
   ASSERT_FALSE(pif_done(*sim, 0));
-  request_pif(*sim, 0, Value::text("second"));  // interrupt + restart
+  pif_of(*sim, 0).request(Value::text("second"));  // interrupt + restart
   ASSERT_EQ(sim->run(200'000, [](Simulator& s) { return pif_done(s, 0); }),
             Simulator::StopReason::Predicate);
   // The first computation was abandoned mid-flight (no decision of its own),
@@ -386,7 +387,7 @@ TEST(Pif, IgnoresForeignMessageKinds) {
 
 TEST(Pif, WildFlagsAreClampedSafely) {
   auto sim = pif_world(2, 17);
-  auto& p = sim->process_as<PifProcess>(0).pif();
+  auto& p = pif_of(*sim, 0);
   sim->network().channel(1, 0).push(Message::pif(
       Value::text("wild"), Value::none(), -2'000'000'000, 2'000'000'000));
   sim->execute(Step::deliver(1, 0));

@@ -9,9 +9,9 @@
 #include <tuple>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -28,7 +28,8 @@ TEST_P(PifProperty, StartedComputationSatisfiesSpecification1) {
 
   Simulator sim(n, 1, seed);
   for (int i = 0; i < n; ++i)
-    sim.add_process(std::make_unique<PifProcess>(n - 1, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   if (corrupted) {
     Rng rng(seed ^ 0xF00Dull);
     sim::fuzz(sim, rng);
@@ -37,13 +38,16 @@ TEST_P(PifProperty, StartedComputationSatisfiesSpecification1) {
       seed + 1, sim::LossOptions{.rate = loss, .max_consecutive = 6}));
 
   // Several initiators, overlapping computations: the protocol must cope
-  // with concurrent PIFs (every process can be an initiator).
-  request_pif(sim, 0, Value::text("alpha"));
-  if (n > 2) request_pif(sim, n - 1, Value::text("omega"));
+  // with concurrent PIFs (every process can be an initiator). Over a
+  // corrupted configuration a session waits for its layer's ghost
+  // computation to drain, then starts.
+  svc::Client client(sim);
+  client.submit(0, svc::PifBroadcast{Value::text("alpha")});
+  if (n > 2) client.submit(n - 1, svc::PifBroadcast{Value::text("omega")});
 
   const auto reason = sim.run(800'000, [n](Simulator& s) {
     for (int p = 0; p < n; ++p)
-      if (!s.process_as<PifProcess>(p).pif().done()) return false;
+      if (!s.process_as<svc::ServiceHost>(p).pif().done()) return false;
     return true;
   });
   ASSERT_NE(reason, Simulator::StopReason::BudgetExhausted);
@@ -76,15 +80,17 @@ TEST_P(PifAllInitiators, ConcurrentComputationsAllComplete) {
   const int n = GetParam();
   Simulator sim(n, 1, static_cast<std::uint64_t>(n));
   for (int i = 0; i < n; ++i)
-    sim.add_process(std::make_unique<PifProcess>(n - 1, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(42));
 
+  svc::Client client(sim);
   for (int round = 0; round < 3; ++round) {
     for (int p = 0; p < n; ++p)
-      request_pif(sim, p, Value::integer(round * 100 + p));
+      client.submit(p, svc::PifBroadcast{Value::integer(round * 100 + p)});
     const auto reason = sim.run(2'000'000, [n](Simulator& s) {
       for (int p = 0; p < n; ++p)
-        if (!s.process_as<PifProcess>(p).pif().done()) return false;
+        if (!s.process_as<svc::ServiceHost>(p).pif().done()) return false;
       return true;
     });
     ASSERT_EQ(reason, Simulator::StopReason::Predicate) << "round " << round;

@@ -13,11 +13,11 @@
 #include <memory>
 #include <thread>
 
-#include "core/stack.hpp"
 #include "fault/plan.hpp"
 #include "fault/runtime_injector.hpp"
 #include "live_transports.hpp"
 #include "runtime/thread_runtime.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::runtime {
 namespace {
@@ -54,15 +54,16 @@ TEST(ThreadRuntime, PifCompletesUnderRealConcurrency) {
   const int n = 4;
   ThreadRuntime rt(n, {.seed = 5});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  rt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
+  rt.with_process<svc::ServiceHost>(0, [](svc::ServiceHost& p) {
     p.pif().request(Value::text("threaded"));
     return 0;
   });
   const bool ok = rt.run(
       [&rt] {
-        return rt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
+        return rt.with_process<svc::ServiceHost>(
+            0, [](svc::ServiceHost& p) { return p.pif().done(); });
       },
       10s);
   rt.shutdown();
@@ -80,15 +81,16 @@ TEST(ThreadRuntime, PifSurvivesInjectedLoss) {
   const int n = 3;
   ThreadRuntime rt(n, {.loss_rate = 0.3, .seed = 7});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
-  rt.with_process<core::PifProcess>(1, [](core::PifProcess& p) {
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
+  rt.with_process<svc::ServiceHost>(1, [](svc::ServiceHost& p) {
     p.pif().request(Value::text("lossy"));
     return 0;
   });
   EXPECT_TRUE(rt.run(
       [&rt] {
-        return rt.with_process<core::PifProcess>(
-            1, [](core::PifProcess& p) { return p.pif().done(); });
+        return rt.with_process<svc::ServiceHost>(
+            1, [](svc::ServiceHost& p) { return p.pif().done(); });
       },
       20s));
 }
@@ -102,9 +104,9 @@ TEST(ThreadRuntime, MutualExclusionHoldsWithAtomicWitness) {
   std::atomic<int> peak{0};
   std::atomic<int> grants{0};
   for (int i = 0; i < n; ++i) {
-    core::StackOptions opts;
-    opts.me.cs_length = 3;
-    opts.me.cs_body = [&occupancy, &peak, &grants] {
+    core::MeOptions opts;
+    opts.cs_length = 3;
+    opts.cs_body = [&occupancy, &peak, &grants] {
       const int now = occupancy.fetch_add(1) + 1;
       int expected = peak.load();
       while (now > expected && !peak.compare_exchange_weak(expected, now)) {
@@ -114,10 +116,12 @@ TEST(ThreadRuntime, MutualExclusionHoldsWithAtomicWitness) {
       grants.fetch_add(1);
     };
     rt.add_process(
-        std::make_unique<core::MeStackProcess>(100 + i, n - 1, opts));
+        std::make_unique<svc::ServiceHost>(svc::HostConfig{
+            .id = 100 + i, .degree = n - 1, .with_me = true,
+            .me_options = opts}));
   }
   for (int i = 0; i < n; ++i)
-    rt.with_process<core::MeStackProcess>(i, [](core::MeStackProcess& s) {
+    rt.with_process<svc::ServiceHost>(i, [](svc::ServiceHost& s) {
       return s.me().request_cs();
     });
   const bool ok = rt.run([&grants, n] { return grants.load() >= n; }, 30s);
@@ -131,7 +135,8 @@ TEST(ThreadRuntime, FuzzedInitialStatesStillServeRequests) {
   ThreadRuntime rt(n, {.seed = 13});
   Rng rng(131);
   for (int i = 0; i < n; ++i) {
-    auto proc = std::make_unique<core::MeStackProcess>(10 * (i + 1), n - 1);
+    auto proc = std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = 10 * (i + 1), .degree = n - 1, .with_me = true});
     proc->randomize(rng);
     proc->me().mutable_state().cs_remaining = 0;  // no ghost CS: finite test
     rt.add_process(std::move(proc));
@@ -140,8 +145,8 @@ TEST(ThreadRuntime, FuzzedInitialStatesStillServeRequests) {
   std::atomic<bool> requested{false};
   const bool ok = rt.run(
       [&rt, &requested] {
-        return rt.with_process<core::MeStackProcess>(
-            0, [&requested](core::MeStackProcess& s) {
+        return rt.with_process<svc::ServiceHost>(
+            0, [&requested](svc::ServiceHost& s) {
               if (!requested.load() &&
                   s.me().request_state() == core::RequestState::Done) {
                 s.me().request_cs();
@@ -164,16 +169,17 @@ TEST(ThreadRuntime, ResetServiceRunsOnThreads) {
   ThreadRuntime rt(n, {.seed = 19});
   std::atomic<int> hooks{0};
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::ResetProcess>(
-        n - 1, 1, [&hooks](sim::Context&) { hooks.fetch_add(1); }));
-  rt.with_process<core::ResetProcess>(0, [](core::ResetProcess& p) {
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1, .with_reset = true,
+        .on_reset = [&hooks](sim::Context&) { hooks.fetch_add(1); }}));
+  rt.with_process<svc::ServiceHost>(0, [](svc::ServiceHost& p) {
     p.reset().request();
     return 0;
   });
   const bool ok = rt.run(
       [&rt] {
-        return rt.with_process<core::ResetProcess>(
-            0, [](core::ResetProcess& p) { return p.reset().done(); });
+        return rt.with_process<svc::ServiceHost>(
+            0, [](svc::ServiceHost& p) { return p.reset().done(); });
       },
       10s);
   rt.shutdown();  // the reset hook touches this frame's counter
@@ -186,17 +192,18 @@ TEST(ThreadRuntime, ElectionServiceRunsOnThreads) {
   ThreadRuntime rt(n, {.seed = 23});
   for (int i = 0; i < n; ++i)
     rt.add_process(
-        std::make_unique<core::ElectionProcess>(100 - i, n - 1, 1));
+        std::make_unique<svc::ServiceHost>(svc::HostConfig{
+            .id = 100 - i, .degree = n - 1, .with_election = true}));
   for (int i = 0; i < n; ++i)
-    rt.with_process<core::ElectionProcess>(i, [](core::ElectionProcess& p) {
+    rt.with_process<svc::ServiceHost>(i, [](svc::ServiceHost& p) {
       p.election().request();
       return 0;
     });
   const bool ok = rt.run(
       [&rt, n] {
         for (int i = 0; i < n; ++i) {
-          const bool done = rt.with_process<core::ElectionProcess>(
-              i, [](core::ElectionProcess& p) { return p.election().done(); });
+          const bool done = rt.with_process<svc::ServiceHost>(
+              i, [](svc::ServiceHost& p) { return p.election().done(); });
           if (!done) return false;
         }
         return true;
@@ -204,8 +211,8 @@ TEST(ThreadRuntime, ElectionServiceRunsOnThreads) {
       20s);
   ASSERT_TRUE(ok);
   for (int i = 0; i < n; ++i) {
-    const auto leader = rt.with_process<core::ElectionProcess>(
-        i, [](core::ElectionProcess& p) { return p.election().leader(); });
+    const auto leader = rt.with_process<svc::ServiceHost>(
+        i, [](svc::ServiceHost& p) { return p.election().leader(); });
     EXPECT_EQ(leader, 100 - (n - 1));  // the smallest id
   }
 }
@@ -218,7 +225,8 @@ TEST(RuntimeInjector, StormCeasesAndFreshRequestCompletes) {
   const sim::Topology topo = sim::Topology::complete(n);
   ThreadRuntime rt(topo, {.seed = 29});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
 
   fault::FaultPlanSpec fs;
   fs.seed = 29;
@@ -251,8 +259,8 @@ TEST(RuntimeInjector, StormCeasesAndFreshRequestCompletes) {
   const bool ok = rt.run(
       [&rt, &inj, &requested] {
         if (!inj.done()) return false;  // the fault still rages
-        return rt.with_process<core::PifProcess>(
-            0, [&requested](core::PifProcess& p) {
+        return rt.with_process<svc::ServiceHost>(
+            0, [&requested](svc::ServiceHost& p) {
               if (!requested.load()) {
                 if (!p.pif().done()) return false;
                 p.pif().request(Value::text("post-storm"));
@@ -302,17 +310,18 @@ TEST_P(LiveRuntime, ObservationsAreMonotonic) {
   auto rt = test::make_live(GetParam(), n, 17);
   for (int i = 0; i < n; ++i)
     rt->add_process(
-        std::make_unique<core::ElectionProcess>(100 - i, n - 1, 1));
+        std::make_unique<svc::ServiceHost>(svc::HostConfig{
+            .id = 100 - i, .degree = n - 1, .with_election = true}));
   for (int i = 0; i < n; ++i)
-    rt->with_process<core::ElectionProcess>(i, [](core::ElectionProcess& p) {
+    rt->with_process<svc::ServiceHost>(i, [](svc::ServiceHost& p) {
       p.election().request();
       return 0;
     });
   const bool ok = rt->run(
       [&rt, n] {
         for (int i = 0; i < n; ++i)
-          if (!rt->with_process<core::ElectionProcess>(
-                  i, [](core::ElectionProcess& p) {
+          if (!rt->with_process<svc::ServiceHost>(
+                  i, [](svc::ServiceHost& p) {
                     return p.election().done();
                   }))
             return false;
@@ -335,9 +344,10 @@ TEST_P(LiveRuntime, ObservationLogWrapsAtCapacity) {
   auto rt = test::make_live(GetParam(), n, 23);
   for (int i = 0; i < n; ++i)
     rt->add_process(
-        std::make_unique<core::ElectionProcess>(100 - i, n - 1, 1));
+        std::make_unique<svc::ServiceHost>(svc::HostConfig{
+            .id = 100 - i, .degree = n - 1, .with_election = true}));
   for (int i = 0; i < n; ++i)
-    rt->with_process<core::ElectionProcess>(i, [](core::ElectionProcess& p) {
+    rt->with_process<svc::ServiceHost>(i, [](svc::ServiceHost& p) {
       p.election().request();
       return 0;
     });
@@ -350,8 +360,8 @@ TEST_P(LiveRuntime, ObservationLogWrapsAtCapacity) {
   const bool ok = rt->run(
       [&rt, n] {
         for (int i = 0; i < n; ++i)
-          if (!rt->with_process<core::ElectionProcess>(
-                  i, [](core::ElectionProcess& p) {
+          if (!rt->with_process<svc::ServiceHost>(
+                  i, [](svc::ServiceHost& p) {
                     return p.election().done();
                   }))
             return false;

@@ -9,9 +9,10 @@
 // order-statistics set backing the enabled-step index.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
-#include "common/fenwick.hpp"
 #include "common/rankset.hpp"
 #include "golden_scenarios.hpp"
 
@@ -47,7 +48,7 @@ template <typename MakeScheduler>
 std::string pif_trace(MakeScheduler&& make, bool wrap) {
   auto sim = golden::pif_world(4, 1, /*seed=*/7);
   for (int p = 0; p < 4; ++p)
-    sim->process_as<core::PifProcess>(p).pif().request(Value::integer(100 + p));
+    sim->process_as<svc::ServiceHost>(p).pif().request(Value::integer(100 + p));
   std::unique_ptr<sim::Scheduler> sched = make();
   if (wrap) sched = std::make_unique<VirtualWrapper>(std::move(sched));
   sim->set_scheduler(std::move(sched));
@@ -102,7 +103,7 @@ TEST(SealedDispatch, StepEdgeIsACacheNotIdentity) {
 
 std::unique_ptr<sim::Simulator> requested_pif_world(std::uint64_t seed) {
   auto sim = golden::pif_world(4, 1, seed);
-  sim->process_as<core::PifProcess>(0).pif().request(Value::integer(1));
+  sim->process_as<svc::ServiceHost>(0).pif().request(Value::integer(1));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   return sim;
 }
@@ -165,17 +166,21 @@ TEST(RankSet, CountAndSelect) {
   EXPECT_EQ(set.kth(1), 7);
 }
 
-// Differential check against FenwickSet across universe sizes that cross
-// the word and group boundaries of the bitmap (1 word, several words,
-// several groups), under random churn.
-TEST(RankSet, AgreesWithFenwickSetUnderChurn) {
+// Differential check against a linear scan of the membership bitmap across
+// universe sizes that cross the word and group boundaries of the bitmap (1
+// word, several words, several groups), under random churn.
+TEST(RankSet, AgreesWithALinearScanUnderChurn) {
   for (const int universe : {1, 5, 64, 65, 240, 513, 4032}) {
     SCOPED_TRACE(universe);
     RankSet rank;
-    FenwickSet fenwick;
     rank.reset(universe);
-    fenwick.reset(universe);
     std::vector<char> member(static_cast<std::size_t>(universe), 0);
+    // The k-th set index of `member`, or -1 when fewer than k + 1 are set.
+    const auto scan_kth = [&member](int k) {
+      for (std::size_t i = 0; i < member.size(); ++i)
+        if (member[i] && k-- == 0) return static_cast<int>(i);
+      return -1;
+    };
     Rng rng(static_cast<std::uint64_t>(universe) * 77 + 1);
     for (int round = 0; round < 2000; ++round) {
       const int i = static_cast<int>(
@@ -183,14 +188,15 @@ TEST(RankSet, AgreesWithFenwickSetUnderChurn) {
       const int delta = member[static_cast<std::size_t>(i)] ? -1 : 1;
       member[static_cast<std::size_t>(i)] ^= 1;
       rank.add(i, delta);
-      fenwick.add(i, delta);
-      ASSERT_EQ(rank.count(), fenwick.count());
-      if (rank.count() == 0) continue;
+      const int count = static_cast<int>(
+          std::count(member.begin(), member.end(), char{1}));
+      ASSERT_EQ(rank.count(), count);
+      if (count == 0) continue;
       const int k = static_cast<int>(
-          rng.below(static_cast<std::uint64_t>(rank.count())));
-      ASSERT_EQ(rank.kth(k), fenwick.kth(k));
-      ASSERT_EQ(rank.kth(0), fenwick.kth(0));
-      ASSERT_EQ(rank.kth(rank.count() - 1), fenwick.kth(fenwick.count() - 1));
+          rng.below(static_cast<std::uint64_t>(count)));
+      ASSERT_EQ(rank.kth(k), scan_kth(k));
+      ASSERT_EQ(rank.kth(0), scan_kth(0));
+      ASSERT_EQ(rank.kth(count - 1), scan_kth(count - 1));
     }
   }
 }

@@ -3,26 +3,25 @@
 #include <gtest/gtest.h>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/client.hpp"
 
 namespace snapstab {
 namespace {
 
-using core::MeStackProcess;
-using core::PifProcess;
 using sim::Simulator;
 
 TEST(Smoke, PifCompletesFromCleanState) {
   Simulator sim(4, /*capacity=*/1, /*seed=*/7);
   for (int i = 0; i < 4; ++i)
-    sim.add_process(std::make_unique<PifProcess>(3, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = 3}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(11));
 
-  core::request_pif(sim, 0, Value::text("hello"));
+  svc::Client(sim).submit(0, svc::PifBroadcast{Value::text("hello")});
   const auto reason = sim.run(200'000, [](Simulator& s) {
-    return s.process_as<PifProcess>(0).pif().done();
+    return s.process_as<svc::ServiceHost>(0).pif().done();
   });
   EXPECT_EQ(reason, Simulator::StopReason::Predicate);
 
@@ -33,14 +32,16 @@ TEST(Smoke, PifCompletesFromCleanState) {
 TEST(Smoke, PifCompletesFromFuzzedState) {
   Simulator sim(3, 1, 21);
   for (int i = 0; i < 3; ++i)
-    sim.add_process(std::make_unique<PifProcess>(2, 1));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = 2}));
   Rng rng(99);
   sim::fuzz(sim, rng);
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(13));
 
-  core::request_pif(sim, 1, Value::text("after-fault"));
+  // The session waits out any ghost computation the fuzz left at p1.
+  svc::Client(sim).submit(1, svc::PifBroadcast{Value::text("after-fault")});
   const auto reason = sim.run(200'000, [](Simulator& s) {
-    return s.process_as<PifProcess>(1).pif().done();
+    return s.process_as<svc::ServiceHost>(1).pif().done();
   });
   EXPECT_EQ(reason, Simulator::StopReason::Predicate);
 }
@@ -48,12 +49,13 @@ TEST(Smoke, PifCompletesFromFuzzedState) {
 TEST(Smoke, MeServesARequest) {
   Simulator sim(3, 1, 5);
   for (int i = 0; i < 3; ++i)
-    sim.add_process(std::make_unique<MeStackProcess>(100 + i, 2));
+    sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = 100 + i, .degree = 2, .with_me = true}));
   sim.set_scheduler(std::make_unique<sim::RandomScheduler>(17));
 
-  ASSERT_TRUE(core::request_cs(sim, 2));
+  svc::Client(sim).submit(2, svc::CriticalSection{});
   const auto reason = sim.run(500'000, [](Simulator& s) {
-    return s.process_as<MeStackProcess>(2).me().request_state() ==
+    return s.process_as<svc::ServiceHost>(2).me().request_state() ==
            core::RequestState::Done;
   });
   EXPECT_EQ(reason, Simulator::StopReason::Predicate);

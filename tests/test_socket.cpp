@@ -41,7 +41,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/stack.hpp"
 #include "fault/plan.hpp"
 #include "fault/runtime_injector.hpp"
 #include "net/socket_runtime.hpp"
@@ -209,8 +208,9 @@ bool run_every_service(Backend& backend, const sim::Topology& topo,
   std::vector<svc::Session> sessions = {pif, idl, reset, snap, td, fwd};
   for (int p = 0; p < topo.process_count(); ++p)
     sessions.push_back(client.submit(p, svc::Election{}));
-  if (!client.run_until(sessions, {.max_steps = 20'000'000,
-                                   .timeout = 60'000ms})) {
+  if (client.await_all(sessions, {.max_steps = 20'000'000,
+                                  .timeout = 60'000ms}) !=
+      svc::AwaitResult::Done) {
     *why = "sessions did not complete";
     for (const auto& s : sessions)
       if (client.state(s) != svc::SessionState::Done)
@@ -238,7 +238,8 @@ template <typename Backend>
 bool run_cs_grant(Backend& backend, bool* granted) {
   svc::Client client(backend);
   const svc::Session cs = client.submit(1, svc::CriticalSection{});
-  if (!client.run_until(cs, {.max_steps = 20'000'000, .timeout = 60'000ms}))
+  if (client.await_all({cs}, {.max_steps = 20'000'000,
+                              .timeout = 60'000ms}) != svc::AwaitResult::Done)
     return false;
   *granted = client.result(cs).cs_granted;
   return true;
@@ -362,7 +363,8 @@ TEST(SocketLoopback, CorruptDatagramsAreCountedAndDropped) {
   const int n = 3;
   net::SocketRuntime srt(n, {.seed = 77});
   for (int p = 0; p < n; ++p)
-    srt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    srt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   srt.start();
 
   // A storm of hostile datagrams: pure noise (dies at the magic), plus
@@ -389,14 +391,14 @@ TEST(SocketLoopback, CorruptDatagramsAreCountedAndDropped) {
     }
   }
 
-  srt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
+  srt.with_process<svc::ServiceHost>(0, [](svc::ServiceHost& p) {
     p.pif().request(Value::text("through the noise"));
     return 0;
   });
   const bool done = srt.run(
       [&srt] {
-        return srt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
+        return srt.with_process<svc::ServiceHost>(
+            0, [](svc::ServiceHost& p) { return p.pif().done(); });
       },
       30'000ms);
   // Let the drain loops swallow any remaining hostile backlog, then stop.
@@ -444,7 +446,8 @@ TEST(SocketLoopback, RecoversFromInjectedDatagramLoss) {
         p, svc::PifBroadcast{Value::integer(9000 + p)}));
     sessions.push_back(client.submit(p, svc::Election{}));
   }
-  const bool done = client.run_until(sessions, {.timeout = 60'000ms});
+  const bool done = client.await_all(sessions, {.timeout = 60'000ms}) ==
+                    svc::AwaitResult::Done;
   srt.shutdown();
   const auto stats = srt.wire_stats();
   ASSERT_TRUE(done) << "repro: socket loss run, seed=" << kSeed
@@ -464,7 +467,8 @@ TEST(SocketLoopback, PifSessionsDoNotFloodTheWire) {
   const int n = 3;
   net::SocketRuntime srt(n, {.seed = 606});
   for (int p = 0; p < n; ++p)
-    srt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    srt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   svc::Client client(srt);
   const int kRounds = 10;
   int sessions = 0;
@@ -473,7 +477,8 @@ TEST(SocketLoopback, PifSessionsDoNotFloodTheWire) {
     for (int p = 0; p < n; ++p)
       round.push_back(
           client.submit(p, svc::PifBroadcast{Value::integer(r * n + p)}));
-    ASSERT_TRUE(client.run_until(round, {.timeout = 30'000ms}))
+    ASSERT_EQ(client.await_all(round, {.timeout = 30'000ms}),
+              svc::AwaitResult::Done)
         << "round " << r;
     for (const auto& s : round) {
       EXPECT_TRUE(client.result(s).completed);
@@ -498,7 +503,8 @@ TEST(SocketLoopback, PifCompletesWhileNodeZeroIsFlooded) {
   const int n = 3;
   net::SocketRuntime srt(n, {.seed = 707});
   for (int p = 0; p < n; ++p)
-    srt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    srt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   srt.start();
 
   std::atomic<bool> flooding{true};
@@ -512,15 +518,20 @@ TEST(SocketLoopback, PifCompletesWhileNodeZeroIsFlooded) {
         injected.fetch_add(1);
     }
   });
+  // The flood is under way before the request starts (on a loaded machine
+  // the broadcast could otherwise finish before the flooder first runs).
+  for (const auto until = std::chrono::steady_clock::now() + 10s;
+       injected.load() == 0 && std::chrono::steady_clock::now() < until;)
+    std::this_thread::yield();
 
-  srt.with_process<core::PifProcess>(0, [](core::PifProcess& p) {
+  srt.with_process<svc::ServiceHost>(0, [](svc::ServiceHost& p) {
     p.pif().request(Value::text("under the flood"));
     return 0;
   });
   const bool done = srt.run(
       [&srt] {
-        return srt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
+        return srt.with_process<svc::ServiceHost>(
+            0, [](svc::ServiceHost& p) { return p.pif().done(); });
       },
       30'000ms);
   flooding.store(false);
@@ -540,7 +551,8 @@ TEST(SocketFault, InjectorStormCeasesAndFreshSessionsComplete) {
   const sim::Topology topo = sim::Topology::complete(n);
   net::SocketRuntime srt(topo, {.seed = 47});
   for (int p = 0; p < n; ++p)
-    srt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    srt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
 
   fault::FaultPlanSpec fs;
   fs.seed = 47;
@@ -568,8 +580,8 @@ TEST(SocketFault, InjectorStormCeasesAndFreshSessionsComplete) {
   const bool ok = srt.run(
       [&srt, &inj, &requested] {
         if (!inj.done()) return false;  // the fault still rages
-        return srt.with_process<core::PifProcess>(
-            0, [&requested](core::PifProcess& p) {
+        return srt.with_process<svc::ServiceHost>(
+            0, [&requested](svc::ServiceHost& p) {
               if (!requested.load()) {
                 if (!p.pif().done()) return false;
                 p.pif().request(Value::text("post-storm"));
@@ -636,18 +648,19 @@ TEST(SocketMultiProcess, SigkillStallsAndRespawnRecovers) {
   opt.ports = ports;
   opt.local_nodes = {0};
   net::SocketRuntime srt(2, opt);
-  srt.add_process(std::make_unique<core::PifProcess>(1, 1));
+  srt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1}));
   srt.start();
 
   const auto broadcast_done = [&srt](const char* text, int timeout_ms) {
-    srt.with_process<core::PifProcess>(0, [text](core::PifProcess& p) {
+    srt.with_process<svc::ServiceHost>(0, [text](svc::ServiceHost& p) {
       p.pif().request(Value::text(text));
       return 0;
     });
     return srt.run(
         [&srt] {
-          return srt.with_process<core::PifProcess>(
-              0, [](core::PifProcess& p) { return p.pif().done(); });
+          return srt.with_process<svc::ServiceHost>(
+              0, [](svc::ServiceHost& p) { return p.pif().done(); });
         },
         std::chrono::milliseconds(timeout_ms));
   };
@@ -672,8 +685,8 @@ TEST(SocketMultiProcess, SigkillStallsAndRespawnRecovers) {
   ASSERT_GT(child, 0);
   const bool recovered = srt.run(
       [&srt] {
-        return srt.with_process<core::PifProcess>(
-            0, [](core::PifProcess& p) { return p.pif().done(); });
+        return srt.with_process<svc::ServiceHost>(
+            0, [](svc::ServiceHost& p) { return p.pif().done(); });
       },
       20'000ms);
   EXPECT_TRUE(recovered);
@@ -707,7 +720,8 @@ TEST(SocketMultiProcess, InjectorDeliversTheSigkill) {
   opt.ports = ports;
   opt.local_nodes = {0};
   net::SocketRuntime srt(2, opt);
-  srt.add_process(std::make_unique<core::PifProcess>(1, 1));
+  srt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1}));
   srt.start();
 
   const pid_t child = spawn_child_host(ports, /*self=*/1, /*seconds=*/30);
@@ -743,7 +757,8 @@ int run_socket_child(int argc, char** argv) {
   opt.local_nodes = {std::atoi(argv[4])};
   const int seconds = std::atoi(argv[5]);
   net::SocketRuntime rt(2, opt);
-  rt.add_process(std::make_unique<core::PifProcess>(1, 1));
+  rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .degree = 1}));
   rt.start();
   std::this_thread::sleep_for(std::chrono::seconds(seconds));
   rt.shutdown();

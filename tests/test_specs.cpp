@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "core/specs.hpp"
-#include "core/stack.hpp"
+#include "svc/host.hpp"
 #include "test_util.hpp"
 
 namespace snapstab::core {

@@ -5,8 +5,8 @@
 
 #include <memory>
 
-#include "core/stack.hpp"
 #include "sim/simulator.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::core {
 namespace {
@@ -25,15 +25,14 @@ void deliver_brd(Simulator& sim, int src, int dst, const Value& payload) {
 }
 
 std::unique_ptr<Simulator> stack_world(int n, std::uint64_t seed = 1) {
-  auto sim = std::make_unique<Simulator>(n, 1, seed);
-  for (int i = 0; i < n; ++i)
-    sim->add_process(std::make_unique<MeStackProcess>(10 * (i + 1), n - 1));
-  return sim;
+  return svc::service_world(sim::Topology::complete(n), 1, seed, [](int p) {
+    return svc::HostConfig{.id = 10 * (p + 1), .with_me = true};
+  });
 }
 
 TEST(StackDispatch, AskBroadcastAnswersPerFavour) {
   auto sim = stack_world(3);
-  auto& p1 = sim->process_as<MeStackProcess>(1);
+  auto& p1 = sim->process_as<svc::ServiceHost>(1);
   // p1's Value = 1 favours its local channel 1's paper-number 1 = index 0,
   // which is process 2 (peer_of(1, 0) = 2).
   p1.me().mutable_state().value = 1;
@@ -49,7 +48,7 @@ TEST(StackDispatch, AskBroadcastAnswersPerFavour) {
 
 TEST(StackDispatch, ExitBroadcastResetsPhase) {
   auto sim = stack_world(2);
-  auto& p1 = sim->process_as<MeStackProcess>(1);
+  auto& p1 = sim->process_as<svc::ServiceHost>(1);
   p1.me().mutable_state().phase = 3;
   deliver_brd(*sim, 0, 1, Value::token(Token::Exit));
   EXPECT_EQ(p1.me().phase(), 0);
@@ -58,7 +57,7 @@ TEST(StackDispatch, ExitBroadcastResetsPhase) {
 
 TEST(StackDispatch, ExitCsAdvancesFavourOnlyFromTheFavoured) {
   auto sim = stack_world(3);
-  auto& p0 = sim->process_as<MeStackProcess>(0);
+  auto& p0 = sim->process_as<svc::ServiceHost>(0);
   // p0's Value = 2 favours its channel with paper number 2 = index 1 =
   // process 2.
   p0.me().mutable_state().value = 2;
@@ -78,15 +77,15 @@ TEST(StackDispatch, IdlQueryBroadcastFeedsBackIdentity) {
 
 TEST(StackDispatch, GhostBroadcastIsPolitelyAcknowledged) {
   auto sim = stack_world(2);
-  const int phase_before = sim->process_as<MeStackProcess>(1).me().phase();
+  const int phase_before = sim->process_as<svc::ServiceHost>(1).me().phase();
   deliver_brd(*sim, 0, 1, Value::text("who knows"));
   EXPECT_EQ(sim->network().channel(1, 0).peek().f, Value::token(Token::Ok));
-  EXPECT_EQ(sim->process_as<MeStackProcess>(1).me().phase(), phase_before);
+  EXPECT_EQ(sim->process_as<svc::ServiceHost>(1).me().phase(), phase_before);
 }
 
 TEST(StackDispatch, FeedbackRoutesByOwnBroadcast) {
   auto sim = stack_world(2);
-  auto& p0 = sim->process_as<MeStackProcess>(0);
+  auto& p0 = sim->process_as<svc::ServiceHost>(0);
   // Put p0 one step from completing an ASK computation on channel 0
   // (installed directly: a full-stack tick would run ME's cycle instead).
   p0.pif().request(Value::token(Token::Ask));  // sets B-Mes
@@ -127,7 +126,7 @@ TEST(StackTiming, SubProtocolStartsInTheSameActivation) {
   // activation of a phase-0 process, the PIF computation has started
   // (flags reset), leaving no window against corrupted flags.
   auto sim = stack_world(2);
-  auto& p0 = sim->process_as<MeStackProcess>(0);
+  auto& p0 = sim->process_as<svc::ServiceHost>(0);
   p0.me().mutable_state().phase = 0;
   p0.pif().mutable_state().state[0] = 3;  // corrupted flag
   sim->execute(Step::tick(0));
@@ -138,12 +137,14 @@ TEST(StackTiming, SubProtocolStartsInTheSameActivation) {
 }
 
 TEST(StackTiming, BusyProcessOnlyCountsDownItsCs) {
-  StackOptions opts;
-  opts.me.cs_length = 3;
+  MeOptions opts;
+  opts.cs_length = 3;
   Simulator sim(2, 1, 1);
-  sim.add_process(std::make_unique<MeStackProcess>(10, 1, opts));
-  sim.add_process(std::make_unique<MeStackProcess>(20, 1, opts));
-  auto& p0 = sim.process_as<MeStackProcess>(0);
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .id = 10, .degree = 1, .with_me = true, .me_options = opts}));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .id = 20, .degree = 1, .with_me = true, .me_options = opts}));
+  auto& p0 = sim.process_as<svc::ServiceHost>(0);
   p0.me().mutable_state().cs_remaining = 3;
   p0.idl().mutable_state().request = RequestState::Wait;  // would fire A1
   ASSERT_TRUE(p0.busy());
@@ -159,12 +160,14 @@ TEST(StackTiming, BusyProcessOnlyCountsDownItsCs) {
 }
 
 TEST(StackTiming, CsExitRunsReleaseAndDecide) {
-  StackOptions opts;
-  opts.me.cs_length = 1;
+  MeOptions opts;
+  opts.cs_length = 1;
   Simulator sim(2, 1, 1);
-  sim.add_process(std::make_unique<MeStackProcess>(10, 1, opts));
-  sim.add_process(std::make_unique<MeStackProcess>(20, 1, opts));
-  auto& p0 = sim.process_as<MeStackProcess>(0);
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .id = 10, .degree = 1, .with_me = true, .me_options = opts}));
+  sim.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+      .id = 20, .degree = 1, .with_me = true, .me_options = opts}));
+  auto& p0 = sim.process_as<svc::ServiceHost>(0);
   // p0 is the leader (id 10 < 20) mid-CS with a served request.
   p0.idl().mutable_state().min_id = 10;
   p0.me().mutable_state().value = 0;

@@ -16,7 +16,6 @@
 
 #include "core/forward_world.hpp"
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "live_transports.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
@@ -31,9 +30,8 @@ using sim::Simulator;
 using sim::Step;
 
 std::unique_ptr<Simulator> pif_host_world(int n, std::uint64_t seed) {
-  auto sim = std::make_unique<Simulator>(n, 1, seed);
-  for (int i = 0; i < n; ++i)
-    sim->add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+  auto sim = service_world(sim::Topology::complete(n), 1, seed,
+                           /*config_of=*/nullptr);
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
   return sim;
 }
@@ -54,7 +52,7 @@ TEST(SvcSession, MirrorsThePapersRequestVariable) {
   // One activation of the host executes A1: the computation is In.
   sim->execute(Step::tick(0));
   EXPECT_EQ(client.state(s), SessionState::In);
-  ASSERT_TRUE(client.run_until(s));
+  ASSERT_EQ(client.await_all({s}), AwaitResult::Done);
   EXPECT_EQ(client.state(s), SessionState::Done);
   const SessionResult r = client.result(s);
   EXPECT_TRUE(r.completed);
@@ -74,7 +72,7 @@ TEST(SvcSession, CompletionCallbackFiresOnceWithKeyAndResult) {
         seen_key = k;
         seen_result = r;
       });
-  ASSERT_TRUE(client.run_until(s));
+  ASSERT_EQ(client.await_all({s}), AwaitResult::Done);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(seen_key, s.key);
   EXPECT_TRUE(seen_result.completed);
@@ -85,7 +83,7 @@ TEST(SvcSession, ReleaseRecyclesTheHostRecord) {
   auto sim = pif_host_world(2, 3);
   Client client(*sim);
   const Session s = client.submit(0, PifBroadcast{Value::integer(1)});
-  ASSERT_TRUE(client.run_until(s));
+  ASSERT_EQ(client.await_all({s}), AwaitResult::Done);
   auto& host = sim->process_as<ServiceHost>(0);
   EXPECT_EQ(host.session_count(), 1);
   client.release(s);
@@ -112,7 +110,7 @@ TEST(SvcSession, SubmitWhileInQueuesInSubmissionOrder) {
   sim->execute(Step::tick(0));
   EXPECT_EQ(client.state(s1), SessionState::In);
   EXPECT_EQ(client.state(s2), SessionState::Wait);  // still queued
-  ASSERT_TRUE(client.run_until({s1, s2, s3}));
+  ASSERT_EQ(client.await_all({s1, s2, s3}), AwaitResult::Done);
   // The host ran the three computations strictly in submission order:
   // request and decision events appear b1, b2, b3.
   std::vector<Value> requests;
@@ -141,7 +139,7 @@ TEST(SvcSession, DuplicateSubmitCoalescesWithTheQueuedTwin) {
   EXPECT_FALSE(s2.coalesced);
   EXPECT_TRUE(s3.coalesced);
   EXPECT_EQ(s3.key, s2.key);
-  ASSERT_TRUE(client.run_until({s1, s2, s3}));
+  ASSERT_EQ(client.await_all({s1, s2, s3}), AwaitResult::Done);
   // Both callers' completion callbacks fired, chained on the one session.
   EXPECT_EQ(cb2, 1);
   EXPECT_EQ(cb3, 1);
@@ -157,19 +155,20 @@ TEST(SvcSession, DuplicateSubmitCoalescesWithTheQueuedTwin) {
 TEST(SvcSession, CriticalSectionSessionsQueueInsteadOfRefusing) {
   auto sim = std::make_unique<Simulator>(3, 1, 9);
   for (int i = 0; i < 3; ++i)
-    sim->add_process(std::make_unique<core::MeStackProcess>(i + 1, 2));
+    sim->add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .id = i + 1, .degree = 2, .with_me = true}));
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(9));
   Client client(*sim);
   const Session g1 = client.submit(1, CriticalSection{});
   const Session g2 = client.submit(1, CriticalSection{});  // queues (no false)
   EXPECT_FALSE(g2.coalesced);  // CS grants do not coalesce: two grants wanted
-  ASSERT_TRUE(client.run_until({g1, g2}));
+  ASSERT_EQ(client.await_all({g1, g2}), AwaitResult::Done);
   EXPECT_TRUE(client.result(g1).cs_granted);
   EXPECT_TRUE(client.result(g2).cs_granted);
-  // ...while the legacy shim still refuses a second request mid-service.
+  // ...while the ME layer itself still refuses a second request mid-service.
   const Session g3 = client.submit(1, CriticalSection{});
-  EXPECT_FALSE(core::request_cs(*sim, 1));
-  ASSERT_TRUE(client.run_until(g3));
+  EXPECT_FALSE(sim->process_as<ServiceHost>(1).me().request_cs());
+  ASSERT_EQ(client.await_all({g3}), AwaitResult::Done);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ TEST(SvcServices, ResetElectionSnapshotTermdetectUniformSurface) {
   for (int p = 0; p < n; ++p)
     sessions.push_back(client.submit(p, Election{}));
   sessions.push_back(client.submit(2, Snapshot{}));
-  ASSERT_TRUE(client.run_until(sessions));
+  ASSERT_EQ(client.await_all(sessions), AwaitResult::Done);
 
   for (int p = 0; p < n; ++p)
     EXPECT_GE(hooks[static_cast<std::size_t>(p)], 1) << "p" << p;
@@ -250,7 +249,7 @@ TEST(SvcForward, AdmissionReasonsSurfaceThroughResult) {
       client.submit(1, ForwardMsg{1, Value::integer(2'000'004)});
   EXPECT_EQ(self_full.admission, ForwardSubmit::SelfDestination);
 
-  ASSERT_TRUE(client.run_until({ok, self_ok}));
+  ASSERT_EQ(client.await_all({ok, self_ok}), AwaitResult::Done);
   EXPECT_EQ(client.result(ok).value, Value::integer(2'000'000));
   EXPECT_EQ(client.result(self_ok).value, Value::integer(2'000'003));
   EXPECT_TRUE(core::check_forward_spec(*sim).ok());
@@ -265,7 +264,7 @@ TEST(SvcForward, SessionCompletesAcrossAMidRunCorruptionBurst) {
   // Phase 1: clean service.
   const Session a = client.submit(0, ForwardMsg{2, Value::integer(3'000'000)});
   const Session b = client.submit(3, ForwardMsg{1, Value::integer(3'000'001)});
-  ASSERT_TRUE(client.run_until({a, b}));
+  ASSERT_EQ(client.await_all({a, b}), AwaitResult::Done);
 
   // Mid-run corruption burst: scramble every hop handshake and queue, stuff
   // forged forwarding traffic into the channels.
@@ -279,7 +278,7 @@ TEST(SvcForward, SessionCompletesAcrossAMidRunCorruptionBurst) {
   // Phase 2: sessions submitted after the burst still complete...
   const Session c = client.submit(1, ForwardMsg{4, Value::integer(3'000'002)});
   const Session d = client.submit(2, ForwardMsg{0, Value::integer(3'000'003)});
-  ASSERT_TRUE(client.run_until({c, d}));
+  ASSERT_EQ(client.await_all({c, d}), AwaitResult::Done);
   EXPECT_EQ(client.result(c).value, Value::integer(3'000'002));
   EXPECT_EQ(client.result(d).value, Value::integer(3'000'003));
 
@@ -313,7 +312,7 @@ Transcript run_program(Backend& backend) {
   sessions.push_back(client.submit(0, PifBroadcast{Value::text("alpha")}));
   sessions.push_back(client.submit(1, PifBroadcast{Value::text("beta")}));
   sessions.push_back(client.submit(0, PifBroadcast{Value::text("gamma")}));
-  EXPECT_TRUE(client.run_until(sessions));
+  EXPECT_EQ(client.await_all(sessions), AwaitResult::Done);
   Transcript t;
   for (const Session& s : sessions) {
     t.keys.push_back(s.key);
@@ -330,7 +329,8 @@ TEST(SvcBackends, IdenticalSessionTranscriptSimulatorVsThreadRuntime) {
 
   runtime::ThreadRuntime rt(n, {.seed = 51});
   for (int i = 0; i < n; ++i)
-    rt.add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    rt.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   const Transcript rt_transcript = run_program(rt);
   rt.shutdown();
 
@@ -343,43 +343,11 @@ TEST(SvcBackends, IdenticalSessionTranscriptSimulatorVsThreadRuntime) {
 }
 
 // ---------------------------------------------------------------------------
-// Sessions add no RNG draws: a session-driven world replays the exact
-// engine step sequence of a shim-driven one.
-// ---------------------------------------------------------------------------
-
-TEST(SvcDeterminism, SessionDriveMatchesShimDriveBitIdentically) {
-  const auto run_shim = [] {
-    auto sim = pif_host_world(4, 77);
-    core::request_pif(*sim, 0, Value::integer(7));
-    sim->run(100'000, [](Simulator& s) {
-      return s.process_as<core::PifProcess>(0).pif().done();
-    });
-    return sim;
-  };
-  const auto run_session = [] {
-    auto sim = pif_host_world(4, 77);
-    Client client(*sim);
-    const Session s = client.submit(0, PifBroadcast{Value::integer(7)});
-    EXPECT_TRUE(client.run_until(s));
-    return sim;
-  };
-  auto a = run_shim();
-  auto b = run_session();
-  EXPECT_EQ(a->metrics().steps, b->metrics().steps);
-  EXPECT_EQ(a->metrics().sends, b->metrics().sends);
-  EXPECT_EQ(a->metrics().deliveries, b->metrics().deliveries);
-  ASSERT_EQ(a->log().size(), b->log().size());
-  for (std::size_t i = 0; i < a->log().size(); ++i)
-    EXPECT_EQ(a->log().events()[i].to_string(), b->log().events()[i].to_string())
-        << "event " << i;
-}
-
-// ---------------------------------------------------------------------------
-// AwaitOptions hardening: a bounded run_until returns false instead of
+// AwaitOptions hardening: a bounded await stops at its budget instead of
 // spinning when sessions cannot complete, on both backends.
 // ---------------------------------------------------------------------------
 
-TEST(SvcAwait, SimulatorBudgetExhaustionReturnsFalseAndIsRetryable) {
+TEST(SvcAwait, SimulatorBudgetExhaustionStopsAtTheBudgetAndIsRetryable) {
   auto sim = pif_host_world(3, 91);
   Client client(*sim);
   const Session s = client.submit(0, PifBroadcast{Value::integer(5)});
@@ -387,11 +355,11 @@ TEST(SvcAwait, SimulatorBudgetExhaustionReturnsFalseAndIsRetryable) {
   // budget, not spin, and leave the session In.
   AwaitOptions tight;
   tight.max_steps = 3;
-  EXPECT_FALSE(client.run_until(s, tight));
+  EXPECT_EQ(client.await_all({s}, tight), AwaitResult::BudgetExhausted);
   EXPECT_EQ(sim->step_count(), 3u);
   EXPECT_FALSE(client.done(s));
   // A follow-up await with a real budget finishes the same session.
-  EXPECT_TRUE(client.run_until(s));
+  EXPECT_EQ(client.await_all({s}), AwaitResult::Done);
   EXPECT_TRUE(client.result(s).completed);
 }
 
@@ -401,11 +369,11 @@ TEST(SvcAwait, RefusedForwardSessionIsDoneNotAwaitedForever) {
   sim->set_scheduler(std::make_unique<sim::RandomScheduler>(92));
   Client client(*sim);
   // dst 99 is not a process of this topology: refused at admission, born
-  // Done. run_until must see Done immediately (zero steps), with the
+  // Done. await_all must see Done immediately (zero steps), with the
   // refusal surfaced through the result, not loop on an unreachable goal.
   const Session s = client.submit(0, ForwardMsg{99, Value::integer(1)});
   EXPECT_EQ(s.admission, ForwardSubmit::NoRoute);
-  EXPECT_TRUE(client.run_until(s));
+  EXPECT_EQ(client.await_all({s}), AwaitResult::Done);
   EXPECT_EQ(sim->step_count(), 0u);
   const SessionResult r = client.result(s);
   EXPECT_FALSE(r.completed);
@@ -630,8 +598,8 @@ TEST(SvcResilience, BreakerPlusHedgeRunsAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// AwaitResult: the typed verdict behind the bool shim — "more budget might
-// finish this" (BudgetExhausted) vs "no budget ever will" (RuntimeDown).
+// AwaitResult: the typed await verdict — "more budget might finish this"
+// (BudgetExhausted) vs "no budget ever will" (RuntimeDown).
 // ---------------------------------------------------------------------------
 
 TEST(SvcAwait, AwaitResultNamesAreExhaustive) {
@@ -676,7 +644,8 @@ TEST_P(SvcLiveAwait, BudgetThenDoneThenRuntimeDown) {
   const int n = 3;
   auto rt = test::make_live(GetParam(), n, 93);
   for (int i = 0; i < n; ++i)
-    rt->add_process(std::make_unique<core::PifProcess>(n - 1, 1));
+    rt->add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = n - 1}));
   Client client(*rt);
   AwaitOptions tight;
   tight.timeout = std::chrono::milliseconds(50);

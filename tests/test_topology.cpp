@@ -4,10 +4,9 @@
 #include <memory>
 #include <set>
 
-#include "common/fenwick.hpp"
-#include "core/stack.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::sim {
 namespace {
@@ -130,30 +129,10 @@ TEST(Topology, RandomTreeIsDeterministicInSeed) {
   EXPECT_TRUE(differs_from_c);
 }
 
-TEST(FenwickSet, CountAndSelect) {
-  FenwickSet set;
-  set.reset(10);
-  EXPECT_EQ(set.count(), 0);
-  for (int i : {7, 2, 9, 0}) set.add(i, 1);
-  EXPECT_EQ(set.count(), 4);
-  EXPECT_EQ(set.kth(0), 0);
-  EXPECT_EQ(set.kth(1), 2);
-  EXPECT_EQ(set.kth(2), 7);
-  EXPECT_EQ(set.kth(3), 9);
-  set.add(2, -1);
-  EXPECT_EQ(set.count(), 3);
-  EXPECT_EQ(set.kth(1), 7);
-}
-
 // --- protocols over sparse topologies -------------------------------------
 
 std::unique_ptr<Simulator> pif_world_on(Topology topo, std::uint64_t seed) {
-  const int n = topo.process_count();
-  auto sim = std::make_unique<Simulator>(std::move(topo), std::size_t{1}, seed);
-  for (ProcessId p = 0; p < n; ++p)
-    sim->add_process(std::make_unique<core::PifProcess>(
-        sim->topology().degree(p), /*channel_capacity=*/1));
-  return sim;
+  return svc::service_world(std::move(topo), 1, seed, /*config_of=*/nullptr);
 }
 
 // PIF runs unmodified on any connected graph: processes only speak local
@@ -168,11 +147,11 @@ TEST(TopologySim, PifCompletesOnSparseTopologies) {
   for (Topology& topo : shapes) {
     SCOPED_TRACE(topo.name());
     auto sim = pif_world_on(std::move(topo), 17);
-    sim->process_as<core::PifProcess>(0).pif().request(Value::integer(42));
+    sim->process_as<svc::ServiceHost>(0).pif().request(Value::integer(42));
     sim->set_scheduler(std::make_unique<sim::RandomScheduler>(17));
     const auto reason =
         sim->run(500'000, [](Simulator& s) {
-          return s.process_as<core::PifProcess>(0).pif().done();
+          return s.process_as<svc::ServiceHost>(0).pif().done();
         });
     EXPECT_EQ(reason, Simulator::StopReason::Predicate);
     // Every neighbor of the initiator saw the broadcast.
@@ -188,7 +167,7 @@ TEST(TopologySim, PifCompletesOnSparseTopologies) {
 TEST(TopologySim, SparseRunsAreDeterministic) {
   const auto run_once = [] {
     auto sim = pif_world_on(Topology::random_tree(9, 5), 23);
-    sim->process_as<core::PifProcess>(3).pif().request(Value::integer(1));
+    sim->process_as<svc::ServiceHost>(3).pif().request(Value::integer(1));
     sim->set_scheduler(std::make_unique<sim::RandomScheduler>(
         23, LossOptions{.rate = 0.2, .max_consecutive = 4}));
     sim->run(50'000);

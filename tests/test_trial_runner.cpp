@@ -9,9 +9,9 @@
 
 #include "../bench/trial_runner.hpp"
 #include "core/specs.hpp"
-#include "core/stack.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "svc/host.hpp"
 
 namespace snapstab::bench {
 namespace {
@@ -52,13 +52,14 @@ TrialOutcome run_one_trial(int t) {
   const auto seed = 400u + static_cast<std::uint64_t>(t);
   sim::Simulator world(3, 1, seed);
   for (int i = 0; i < 3; ++i)
-    world.add_process(std::make_unique<core::PifProcess>(2, 1));
+    world.add_process(std::make_unique<svc::ServiceHost>(svc::HostConfig{
+        .degree = 2}));
   Rng rng(seed * 3);
   sim::fuzz(world, rng);
   world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
-  core::request_pif(world, 0, Value::integer(t));
+  world.process_as<svc::ServiceHost>(0).pif().request(Value::integer(t));
   const auto reason = world.run(500'000, [](sim::Simulator& s) {
-    return s.process_as<core::PifProcess>(0).pif().done();
+    return s.process_as<svc::ServiceHost>(0).pif().done();
   });
   out.completed = reason == sim::Simulator::StopReason::Predicate;
   out.steps = world.step_count();
