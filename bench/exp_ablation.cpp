@@ -191,6 +191,5 @@ int main(int argc, char** argv) {
   json.set("paper_sound", paper_sound);
   json.set("safe_order_poisoned", safe.poisoned);
   json.set("unsafe_order_poisoned", unsafe.poisoned);
-  json.write_if_requested(args);
-  return 0;
+  return finish(json, args);
 }

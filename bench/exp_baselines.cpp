@@ -195,6 +195,5 @@ int main(int argc, char** argv) {
   json.set("snap_clean", snap_clean);
   json.set("seq_first_dirty", seq_first_dirty);
   json.set("seq_later_clean", seq_later_clean);
-  json.write_if_requested(args);
-  return 0;
+  return finish(json, args);
 }

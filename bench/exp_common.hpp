@@ -4,13 +4,15 @@
 // anchor, one or more TextTables with the measured rows, and a PASS/FAIL
 // verdict where the experiment validates a property. Binaries run with no
 // arguments using defaults sized to finish in seconds; sweep parameters are
-// adjustable via --flags (see each binary's `kKnownFlags`).
+// adjustable via --flags (see each binary's `kKnownFlags`). Every main ends
+// with `return finish(json, args);`, so a [FAIL] verdict fails the run.
 #ifndef SNAPSTAB_BENCH_EXP_COMMON_HPP
 #define SNAPSTAB_BENCH_EXP_COMMON_HPP
 
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -154,8 +156,35 @@ inline void banner(const char* experiment, const char* anchor,
   std::printf("\n=== %s — %s ===\n%s\n\n", experiment, anchor, what);
 }
 
+// [FAIL] verdicts printed since the last finish().
+inline int failed_verdicts = 0;
+
 inline void verdict(bool ok, const char* what) {
+  if (!ok) ++failed_verdicts;
   std::printf("[%s] %s\n", ok ? "PASS" : "FAIL", what);
+}
+
+// The exit status of an experiment: writes the --json file, if one was
+// asked for, and returns non-zero when it could not be written or when any
+// verdict since the last finish() failed. Resets the failure count.
+inline int finish(const BenchJson& json, const CliArgs& args) {
+  const bool written = json.write_if_requested(args);
+  const bool passed = std::exchange(failed_verdicts, 0) == 0;
+  return written && passed ? 0 : 1;
+}
+
+// Worker count for `trials` independent trials fanned out through
+// load::parallel_shards: the --threads flag when given (0 = auto), otherwise
+// all hardware threads, never more than one per trial. Trials derive all
+// randomness from their index, so results do not depend on this count.
+inline int trial_thread_count(const CliArgs& args, int trials) {
+  int threads = static_cast<int>(args.get_int("threads", 0));
+  if (threads <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    threads = hw != 0 ? static_cast<int>(hw) : 1;
+  }
+  if (threads > trials) threads = trials;
+  return threads > 0 ? threads : 1;
 }
 
 // Builds a PIF-only world of n processes over capacity-c channels.

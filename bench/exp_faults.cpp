@@ -566,9 +566,5 @@ int main(int argc, char** argv) {
   json.set("policy_beats_baseline", policy_beats_baseline);
   json.set("deterministic", deterministic);
   json.set_raw("determinism_pin", json1);
-  if (!json.write_if_requested(args)) return 1;
-  return all_recovered && all_completed && storm_recovered &&
-                 policy_beats_baseline && deterministic
-             ? 0
-             : 1;
+  return finish(json, args);
 }

@@ -99,6 +99,11 @@ SweepResult part2_sweep() {
           pif_at(*world, 0).request(Value::text("m"));
           sim::RoundRobinScheduler scheduler(
               static_cast<std::uint64_t>(m1 * 1000 + m2 * 10 + qneig));
+          // The setup above edited state behind the engine's back, and the
+          // loop below steps the scheduler directly instead of through
+          // run(): refresh the enabled-step index once, or the scheduler
+          // may not see that p's tick is enabled and report quiescence.
+          world->reconcile_enabled_index();
 
           // Step manually so p's flag can be sampled the moment q first
           // generates the receive-brd for m: every increment before that
@@ -176,6 +181,5 @@ int main(int argc, char** argv) {
   json.set("completed", sweep.completed);
   json.set("spec_violations", sweep.spec_violations);
   json.set("max_stale_increments", sweep.max_stale_increments);
-  json.write_if_requested(args);
-  return 0;
+  return snapstab::bench::finish(json, args);
 }

@@ -11,9 +11,9 @@
 // delivered exactly once, ghosts within the corruption budget. Cost
 // metrics: steps and hop transfers per delivered payload.
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
 
 #include "core/forward_world.hpp"
+#include "load/shard.hpp"
 #include "svc/client.hpp"
 
 namespace snapstab::bench {
@@ -113,7 +113,7 @@ Trial run_trial(const std::string& family, int n, double loss, int payloads,
 
 Cell run_cell(const std::string& family, int n, double loss, int payloads,
               int trials, std::uint64_t seed0, int threads) {
-  const auto outcomes = run_trials(trials, threads, [&](int t) {
+  const auto outcomes = load::parallel_shards(trials, threads, [&](int t) {
     return run_trial(family, n, loss, payloads,
                      seed0 + static_cast<std::uint64_t>(t));
   });
@@ -195,6 +195,5 @@ int main(int argc, char** argv) {
   json.set("total_runs", total_runs);
   json.set("total_violations", total_violations);
   json.set("total_incomplete", total_incomplete);
-  json.write_if_requested(args);
-  return total_violations == 0 ? 0 : 1;
+  return finish(json, args);
 }

@@ -101,6 +101,5 @@ int main(int argc, char** argv) {
   BenchJson json("exp_idl");
   json.set("trials", trials);
   json.set("total_violations", total_violations);
-  json.write_if_requested(args);
-  return 0;
+  return finish(json, args);
 }

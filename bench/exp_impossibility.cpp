@@ -62,6 +62,5 @@ int main(int argc, char** argv) {
   json.set("both_in_cs_concurrently", unbounded.both_in_cs_concurrently);
   json.set("replay_mismatches",
            static_cast<std::int64_t>(unbounded.replay_mismatches));
-  json.write_if_requested(args);
-  return 0;
+  return snapstab::bench::finish(json, args);
 }

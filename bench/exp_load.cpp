@@ -311,6 +311,5 @@ int main(int argc, char** argv) {
   json.set("highwater_concurrency", highwater_live);
   json.set("highwater_ok", highwater_ok);
   json.set_raw("determinism_pin", json1);
-  if (!json.write_if_requested(args)) return 1;
-  return deterministic && highwater_ok ? 0 : 1;
+  return finish(json, args);
 }

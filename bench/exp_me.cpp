@@ -200,6 +200,5 @@ int main(int argc, char** argv) {
   json.set("total_violations", total_violations);
   json.set("total_unserved", total_unserved);
   json.set("mod_n_plus_1_deadlocked", deadlocked);
-  json.write_if_requested(args);
-  return 0;
+  return finish(json, args);
 }

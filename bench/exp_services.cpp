@@ -261,6 +261,5 @@ int main(int argc, char** argv) {
   json.set("election_failures", election_failures);
   json.set("false_claims", false_claims);
   json.set("no_claims", no_claims);
-  json.write_if_requested(args);
-  return 0;
+  return finish(json, args);
 }

@@ -148,10 +148,8 @@ int main(int argc, char** argv) {
           storm_end_stamped = true;
           for (auto& ph : phase) ph = OriginPhase::Drain;
         }
-        bool all_recovered = true;
         for (int i = 0; i < n; ++i) {
           const auto idx = static_cast<std::size_t>(i);
-          if (phase[idx] != OriginPhase::Recovered) all_recovered = false;
           const bool done = rt.with_process<svc::ServiceHost>(
               i, [](svc::ServiceHost& p) { return p.pif().done(); });
           if (!done) continue;
@@ -187,7 +185,13 @@ int main(int argc, char** argv) {
               break;
           }
         }
-        return storm_over && all_recovered;
+        // Judged after the phase moves above: the evaluation that moves
+        // the last origin to Recovered must return true, since once every
+        // node is idle no activation runs this predicate again.
+        return storm_over &&
+               std::all_of(phase.begin(), phase.end(), [](OriginPhase ph) {
+                 return ph == OriginPhase::Recovered;
+               });
       },
       std::chrono::milliseconds(
           static_cast<std::int64_t>(seconds * 2'000) + 30'000));
@@ -273,6 +277,5 @@ int main(int argc, char** argv) {
   json.set("down_wipes", c.down_wipes);
   json.set("recovered", finished);
   json.set("storm_bit", storm_bit);
-  if (!json.write_if_requested(args)) return 1;
-  return (finished && storm_bit) ? 0 : 1;
+  return finish(json, args);
 }

@@ -292,9 +292,5 @@ int main(int argc, char** argv) {
   json.set("lossy_filter_fired", lossy_filter_fired);
   json.set("garbage_ok", garbage_ok);
   json.set("wire_quiet", wire_quiet);
-  if (!json.write_if_requested(args)) return 1;
-  return (all_recovered && lossy_cell_seen && lossy_filter_fired &&
-          garbage_ok && wire_quiet)
-             ? 0
-             : 1;
+  return finish(json, args);
 }

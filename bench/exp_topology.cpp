@@ -16,7 +16,7 @@
 #include <chrono>
 
 #include "exp_common.hpp"
-#include "trial_runner.hpp"
+#include "load/shard.hpp"
 
 namespace snapstab::bench {
 namespace {
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
     double deliveries = 0;
     bool done = false;
   };
-  const auto rows = run_trials(
+  const auto rows = load::parallel_shards(
       kShapes, trial_thread_count(args, kShapes), [&](int which) {
         sim::Topology topo = make_shape(which);
         ReachRow row;
@@ -194,6 +194,5 @@ int main(int argc, char** argv) {
   json.set("legacy_steps_per_sec", legacy_rate);
   json.set("speedup", incremental_rate / legacy_rate);
   json.set("all_done", all_done);
-  json.write_if_requested(args);
-  return incremental_rate > legacy_rate && all_done ? 0 : 1;
+  return finish(json, args);
 }

@@ -1,19 +1,17 @@
 // shard.hpp — the one-simulator-per-worker parallel fan primitive.
 //
-// PR 2's bench/trial_runner.hpp proved the pattern: fan seeded jobs across a
-// pool of std::threads, one StringPool installed per worker for the worker's
-// lifetime, every job claiming its index from a shared counter and writing
-// its result into a job-indexed slot. Determinism then rests solely on each
-// job deriving all of its randomness from its index — results are identical
-// for any worker count, including threads == 1, and the caller folds them in
-// index order so aggregation order is fixed too.
+// Fans seeded jobs across a pool of std::threads, one StringPool installed
+// per worker for the worker's lifetime, every job claiming its index from a
+// shared counter and writing its result into a job-indexed slot.
+// Determinism then rests solely on each job deriving all of its randomness
+// from its index — results are identical for any worker count, including
+// threads == 1, and the caller folds them in index order so aggregation
+// order is fixed too.
 //
-// This header promotes that primitive from the bench tree into the library,
-// where the sharded load generator (load/workload.hpp) builds its
-// coordinated-workload mode on it: N shards of ONE workload instead of N
-// independent trials. bench/trial_runner.hpp now delegates here, so the
-// independent-trial harness and the sharded runner are the same code path
-// (pinned by tests/test_trial_runner.cpp and tests/test_load.cpp).
+// Two kinds of caller share this one code path: the experiment binaries
+// (bench/exp_*) run N independent seeded trials on it, and the sharded load
+// generator (load/workload.hpp) runs N shards of ONE workload (pinned by
+// tests/test_trial_runner.cpp and tests/test_load.cpp).
 //
 // Jobs must return plain data (numbers, POD structs, strings). Returning a
 // Value or an Observation would dangle: it carries a StrId into the worker's

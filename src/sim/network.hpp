@@ -84,7 +84,7 @@ class Network final : private ChannelListener {
 
   // Sum of every channel's Stats — push/pop/loss accounting for the whole
   // network. `popped` counts actual deliveries only; adversarial drops are
-  // in `dropped` (exact loss accounting, see exp_pif_loss).
+  // in `dropped` (exact loss accounting, see exp_pif's loss section).
   Channel::Stats aggregate_channel_stats() const;
 
   // At most one listener; the Simulator installs itself.

@@ -1,14 +1,14 @@
-// test_trial_runner.cpp — the parallel trial harness: every trial index runs
-// exactly once whatever the trials-to-threads ratio, and aggregates are
-// bit-identical for any worker count (the determinism contract the
-// experiment binaries' JSON output rests on).
+// test_trial_runner.cpp — load::parallel_shards as the experiments' trial
+// harness: every trial index runs exactly once whatever the trials-to-threads
+// ratio, and aggregates are bit-identical for any worker count (the
+// determinism contract the experiment binaries' JSON output rests on).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 
-#include "../bench/trial_runner.hpp"
 #include "core/specs.hpp"
+#include "load/shard.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
 #include "svc/host.hpp"
@@ -20,7 +20,7 @@ TEST(TrialRunner, EveryIndexRunsExactlyOnceWhenTrialsDontDivide) {
   // 7 trials on 3 threads: the uneven tail must be neither skipped nor
   // double-counted.
   std::atomic<int> calls{0};
-  const auto results = run_trials(7, 3, [&](int t) {
+  const auto results = load::parallel_shards(7, 3, [&](int t) {
     calls.fetch_add(1);
     return t * 10;
   });
@@ -31,11 +31,11 @@ TEST(TrialRunner, EveryIndexRunsExactlyOnceWhenTrialsDontDivide) {
 }
 
 TEST(TrialRunner, MoreThreadsThanTrialsAndZeroTrialsAreSafe) {
-  const auto results = run_trials(2, 8, [](int t) { return t + 1; });
+  const auto results = load::parallel_shards(2, 8, [](int t) { return t + 1; });
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0], 1);
   EXPECT_EQ(results[1], 2);
-  EXPECT_TRUE(run_trials(0, 4, [](int t) { return t; }).empty());
+  EXPECT_TRUE(load::parallel_shards(0, 4, [](int t) { return t; }).empty());
 }
 
 // A miniature experiment cell: fuzz + run + check per seed, returning the
@@ -71,7 +71,7 @@ TrialOutcome run_one_trial(int t) {
 }
 
 std::string aggregate_json(int threads) {
-  const auto outcomes = run_trials(7, threads, run_one_trial);
+  const auto outcomes = load::parallel_shards(7, threads, run_one_trial);
   // Fold in trial order, exactly like the exp_* binaries do.
   std::uint64_t steps = 0;
   std::uint64_t sends = 0;
