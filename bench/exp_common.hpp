@@ -64,7 +64,8 @@ class BenchJson {
   }
 
   // Experiment-specific provenance for the meta block (e.g. the swept
-  // topology); compiler/SHA/build type are filled in automatically.
+  // topology); compiler/SHA/build type/CPU count are filled in
+  // automatically.
   void set_meta(const std::string& key, const std::string& v) {
     meta_.emplace_back(key, "\"" + escaped(v) + "\"");
   }
@@ -73,7 +74,8 @@ class BenchJson {
   // --json path, if one was given. Returns false (and complains) when the
   // file cannot be written. The meta block makes every BENCH_*.json entry
   // traceable: git SHA and build type (stamped by CMake), the compiler,
-  // plus whatever the experiment added via set_meta.
+  // the hardware thread count, plus whatever the experiment added via
+  // set_meta.
   bool write_if_requested(const CliArgs& args) const {
     if (!args.has("json")) return true;
     const std::string path = args.get("json", "");
@@ -88,6 +90,8 @@ class BenchJson {
     meta.emplace_back("git_sha", "\"" + escaped(kGitSha) + "\"");
     meta.emplace_back("build_type", "\"" + escaped(kBuildType) + "\"");
     meta.emplace_back("compiler", "\"" + escaped(kCompiler) + "\"");
+    meta.emplace_back("cpus",
+                      std::to_string(std::thread::hardware_concurrency()));
     meta.insert(meta.end(), meta_.begin(), meta_.end());
     for (std::size_t i = 0; i < meta.size(); ++i)
       std::fprintf(f, "%s\n    \"%s\": %s", i == 0 ? "" : ",",

@@ -1,15 +1,15 @@
 // exp_soak — wall-clock fault soak over the thread runtime.
 //
-// The simulator experiments (exp_faults) prove recovery on a deterministic
-// step clock; this one proves it against real concurrency. A correlated
-// fault storm — crash bursts, a flapping link, rolling partitions and a
-// cascade — is mapped onto wall time by fault::RuntimeInjector and applied
-// to live PIF-only hosts for most of the soak budget, while the driver
-// keeps one request in flight per origin and measures completion latency.
-// When the storm ceases, the snap-stabilization contract is the verdict: a
-// fresh request issued at every origin after the last window closed must
-// complete, and the time from storm end to that completion is the measured
-// recovery latency.
+// The simulator experiment (exp_load's fault sections) proves recovery on
+// a deterministic step clock; this one proves it against real concurrency.
+// A correlated fault storm — crash bursts, a flapping link, rolling
+// partitions and a cascade — is mapped onto wall time by
+// fault::RuntimeInjector and applied to live PIF-only hosts for most of the
+// soak budget, while the driver keeps one request in flight per origin and
+// measures completion latency. When the storm ceases, the
+// snap-stabilization contract is the verdict: a fresh request issued at
+// every origin after the last window closed must complete, and the time
+// from storm end to that completion is the measured recovery latency.
 //
 // The soak is wall-clock bounded: --seconds (default 60, ~3 in --smoke)
 // sizes the step duration so the storm occupies ~80% of the budget and the

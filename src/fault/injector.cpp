@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "svc/host.hpp"
-
 namespace snapstab::fault {
 
 namespace {
@@ -20,13 +18,7 @@ void emit_fault(sim::Simulator& sim, const FaultWindow& w) {
 }  // namespace
 
 void Injector::scramble_process(sim::Simulator& sim, sim::ProcessId p) {
-  // A crashed-and-restarted ServiceHost also fails its live sessions (the
-  // driver-side contract: no silent hangs); any other process type takes
-  // the plain arbitrary-state scramble.
-  if (auto* host = dynamic_cast<svc::ServiceHost*>(&sim.process(p)))
-    host->crash_restart(rng_);
-  else
-    sim.process(p).randomize(rng_);
+  sim.process(p).crash_restart(rng_);
   ++counters_.crashes;
 }
 

@@ -185,11 +185,6 @@ class FaultPlan {
   // Every session submitted at or after this step must complete correctly.
   std::uint64_t last_end() const noexcept { return last_end_; }
   std::uint64_t first_begin() const noexcept { return first_begin_; }
-  bool any_active(std::uint64_t step) const noexcept {
-    for (const FaultWindow& w : windows_)
-      if (w.covers(step)) return true;
-    return false;
-  }
 
   // FNV-1a over the serialized window list — stable across platforms, so
   // (seed, digest) pins the schedule a failing run executed.

@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "msg/strpool.hpp"
-#include "svc/host.hpp"
 
 namespace snapstab::fault {
 
@@ -52,12 +51,7 @@ void RuntimeInjector::stop() {
 
 void RuntimeInjector::crash(sim::ProcessId p) {
   rt_->with_process<sim::Process>(p, [this](sim::Process& proc) {
-    // Same dispatch as the simulator-side Injector: a ServiceHost also
-    // fails its live sessions; anything else takes the plain scramble.
-    if (auto* host = dynamic_cast<svc::ServiceHost*>(&proc))
-      host->crash_restart(rng_);
-    else
-      proc.randomize(rng_);
+    proc.crash_restart(rng_);
     return 0;
   });
   ++counters_.crashes;

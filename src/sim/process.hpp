@@ -112,6 +112,11 @@ class Process {
   // Fuzz hook: redraw every protocol variable uniformly over its declared
   // domain — the paper's arbitrary initial configuration.
   virtual void randomize(Rng& rng) = 0;
+
+  // The fault engine's crash-restart: by default the plain arbitrary-state
+  // scramble. A process that also holds driver-facing state (svc's
+  // ServiceHost fails its live sessions) overrides it.
+  virtual void crash_restart(Rng& rng) { randomize(rng); }
 };
 
 }  // namespace snapstab::sim

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace snapstab::sim {
 

@@ -143,7 +143,6 @@ class ServiceHost : public sim::Process {
   void finish_forward(std::uint32_t seq);  // origin side: mark Done, fire cb
 
   int session_count() const noexcept { return static_cast<int>(by_seq_.size()); }
-  int pending_count() const noexcept { return pending_n_; }
 
   // --- graceful degradation (the fault engine's host-side view) ----------
   struct Degrade {
@@ -161,7 +160,7 @@ class ServiceHost : public sim::Process {
   // contract), drops the pending queue and any un-consumed forward
   // deliveries. A restarted process has no session memory; the driver
   // (svc::Supervisor, load::Workload) owns the retry.
-  void crash_restart(Rng& rng);
+  void crash_restart(Rng& rng) override;
 
   // --- layer accessors ---------------------------------------------------
   core::Pif& pif() { return checked(pif_); }
@@ -180,7 +179,6 @@ class ServiceHost : public sim::Process {
   const core::Election& election() const { return checked(election_); }
   core::Forward& forward() { return checked(fwd_); }
   const core::Forward& forward() const { return checked(fwd_); }
-  bool has_forward() const noexcept { return fwd_ != nullptr; }
 
   // --- sim::Process ------------------------------------------------------
   void on_tick(sim::Context& ctx) override;

@@ -1,10 +1,13 @@
 // test_exp_common.cpp — the experiments' exit rule: finish() fails the run
 // on any [FAIL] verdict or an unwritable --json file, so a CI smoke cannot
-// pass on a failed claim.
+// pass on a failed claim. Also pins the --json meta block's CPU count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 
 #include "../bench/exp_common.hpp"
 
@@ -43,6 +46,19 @@ TEST(ExpFinish, UnwritableJsonFailsTheRun) {
   verdict(true, "a claim that holds");
   const std::string path = testing::TempDir() + "no-such-dir/out.json";
   EXPECT_NE(finish(BenchJson("exp_test"), args_with_json(path)), 0);
+}
+
+TEST(ExpJson, MetaRecordsTheHardwareThreadCount) {
+  const std::string path = testing::TempDir() + "exp_meta.json";
+  ASSERT_EQ(finish(BenchJson("exp_test"), args_with_json(path)), 0);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  const std::string cpus =
+      "\"cpus\": " + std::to_string(std::thread::hardware_concurrency()) +
+      "\n";
+  EXPECT_NE(text.str().find(cpus), std::string::npos) << text.str();
 }
 
 }  // namespace

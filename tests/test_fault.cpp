@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -18,6 +19,8 @@
 
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "fault/runtime_injector.hpp"
+#include "runtime/thread_runtime.hpp"
 #include "sim/simulator.hpp"
 #include "svc/client.hpp"
 #include "svc/host.hpp"
@@ -454,6 +457,95 @@ TEST(HostCrashRestart, FailsLiveSessionsAndCountsDegradation) {
   EXPECT_EQ(host.degrade().sessions_killed, 1u);
   EXPECT_EQ(host.degrade().crashes, 1u);
   EXPECT_EQ(client.state(s), svc::SessionState::Done);
+}
+
+// A process with no protocol: it only counts the scrambles it receives.
+// `ticking` keeps a Simulator's step clock moving through the plan.
+class ScrambleCounter final : public sim::Process {
+ public:
+  explicit ScrambleCounter(bool ticking) : ticking_(ticking) {}
+  void on_tick(sim::Context&) override {}
+  void on_message(sim::Context&, int, const Message&) override {}
+  bool tick_enabled() const override { return ticking_; }
+  void randomize(Rng&) override { ++randomized; }
+
+  int randomized = 0;
+
+ private:
+  bool ticking_;
+};
+
+// One CrashRestart window, open from step 0; the victim is the plan's draw.
+FaultPlan one_crash_plan(const sim::Topology& topo) {
+  FaultPlanSpec fs;
+  fs.seed = 31;
+  fs.horizon = 1;
+  fs.min_len = 50;
+  fs.max_len = 50;
+  fs.crash_windows = 1;
+  return FaultPlan::compile(fs, topo);
+}
+
+TEST(CrashDispatch, InjectorRandomizesAPlainProcess) {
+  const sim::Topology topo = sim::Topology::ring(4);
+  const FaultPlan plan = one_crash_plan(topo);
+  ASSERT_EQ(plan.windows().size(), 1u);
+  const sim::ProcessId victim = plan.windows()[0].process;
+  Simulator sim(topo, 1, 31);
+  for (int p = 0; p < topo.process_count(); ++p)
+    sim.add_process(std::make_unique<ScrambleCounter>(/*ticking=*/true));
+  sim.set_scheduler(std::make_unique<sim::RandomScheduler>(32));
+  Injector inj(plan);
+  sim.run(1'000, [&](Simulator& s) {
+    inj.poll(s);
+    return inj.done();
+  });
+  ASSERT_TRUE(inj.done());
+  EXPECT_GT(inj.counters().crashes, 0u);
+  for (int p = 0; p < topo.process_count(); ++p)
+    EXPECT_EQ(sim.process_as<ScrambleCounter>(p).randomized > 0, p == victim)
+        << "process " << p << ", victim " << victim;
+}
+
+TEST(CrashDispatch, RuntimeInjectorRandomizesAPlainProcess) {
+  const sim::Topology topo = sim::Topology::ring(4);
+  const FaultPlan plan = one_crash_plan(topo);
+  const sim::ProcessId victim = plan.windows()[0].process;
+  runtime::ThreadRuntime rt(topo, {.seed = 31});
+  for (int p = 0; p < topo.process_count(); ++p)
+    rt.add_process(std::make_unique<ScrambleCounter>(/*ticking=*/false));
+  rt.start();
+  RuntimeInjectorOptions io;
+  io.step_duration = std::chrono::microseconds(100);
+  io.poll_interval = std::chrono::milliseconds(1);
+  RuntimeInjector inj(plan, rt, io);
+  inj.start();
+  EXPECT_TRUE(inj.wait_done(std::chrono::seconds(10)));
+  inj.stop();
+  rt.shutdown();
+  EXPECT_GT(inj.counters().crashes, 0u);
+  for (int p = 0; p < topo.process_count(); ++p) {
+    const int randomized = rt.with_process<ScrambleCounter>(
+        p, [](ScrambleCounter& c) { return c.randomized; });
+    EXPECT_EQ(randomized > 0, p == victim)
+        << "process " << p << ", victim " << victim;
+  }
+}
+
+TEST(CrashDispatch, InjectorFailsTheVictimHostsLiveSession) {
+  const sim::Topology topo = sim::Topology::ring(4);
+  const FaultPlan plan = one_crash_plan(topo);
+  const sim::ProcessId victim = plan.windows()[0].process;
+  auto sim = pif_world(topo, 31);
+  svc::Client client(*sim);
+  const svc::Session s =
+      client.submit(victim, svc::PifBroadcast{Value::integer(1)});
+  Injector inj(plan);
+  inj.poll(*sim);  // step 0: the window opens before the session can finish
+  const auto& host = sim->process_as<svc::ServiceHost>(victim);
+  EXPECT_GT(host.degrade().sessions_killed, 0u);
+  EXPECT_EQ(client.state(s), svc::SessionState::Done);
+  EXPECT_FALSE(client.result(s).completed);
 }
 
 // ---------------------------------------------------------------------------

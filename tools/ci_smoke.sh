@@ -4,10 +4,10 @@
 #   tools/ci_smoke.sh <json-path> <command> [args...]
 #
 # Runs the command, then fails the step if <json-path> is missing or not
-# well-formed JSON (python3 -m json.tool is the validator, mirroring the
-# micro_bench smoke from PR 4). Every CI smoke step goes through this
-# script so a binary that silently writes truncated or empty JSON — the
-# exp_faults gap this script closed — cannot pass.
+# well-formed JSON (python3 -m json.tool is the validator, as for the
+# micro_bench smoke). Every CI smoke step goes through this script, so a
+# binary that silently writes truncated or empty JSON cannot pass; the
+# command's own exit status already fails the step on any [FAIL] verdict.
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
