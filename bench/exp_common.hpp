@@ -16,6 +16,10 @@
 #include <utility>
 #include <vector>
 
+#if __has_include("snapstab_git_sha.hpp")
+#include "snapstab_git_sha.hpp"  // SNAPSTAB_GIT_SHA, see cmake/git_stamp.cmake
+#endif
+
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -107,8 +111,9 @@ class BenchJson {
     return true;
   }
 
-  // Build provenance, stamped on the bench targets by CMake (compile
-  // definitions); "unknown" outside that build system.
+  // Build provenance: the git stamp is the header cmake/git_stamp.cmake
+  // writes at build time, the build type a compile definition on the
+  // bench targets; both "unknown" outside that build system.
 #ifdef SNAPSTAB_GIT_SHA
   static constexpr const char* kGitSha = SNAPSTAB_GIT_SHA;
 #else

@@ -229,6 +229,44 @@ TEST(LoadSharding, CriticalSectionMixCompletesDeterministically) {
   EXPECT_EQ(one, two);
 }
 
+// The load path against a recorded value, not only against itself: one
+// faulted closed-loop run on ring/16 (crash-restarts, garbage, loss and
+// duplication windows under a mixed service load) must reproduce the
+// deterministic JSON recorded before the driver drained its observation log
+// at every pump. A change to the load path that moves any draw, step,
+// completion, retry or recovery figure shows up here.
+TEST(LoadSharding, FaultedClosedLoopMatchesRecordedJson) {
+  WorkloadSpec spec = mixed_spec();
+  spec.n = 16;
+  spec.seed = 2501;
+  spec.concurrency = 32;
+  spec.warmup = 200;
+  spec.measure = 2000;
+  spec.check_every = 64;
+  spec.faults.seed = 77;
+  spec.faults.horizon = 10'000;
+  spec.faults.min_len = 200;
+  spec.faults.max_len = 800;
+  spec.faults.crash_windows = 2;
+  spec.faults.garbage_windows = 3;
+  spec.faults.loss_windows = 2;
+  spec.faults.duplicate_windows = 1;
+  const std::string recorded =
+      R"({"topology":"ring","n":16,"seed":2501,"arrival":"closed","shards":2,)"
+      R"("counters":{"submitted":2256,"completed":2204,"coalesced":66,)"
+      R"("refused":0,"shed":0},"steps_total":98048,"budget_hit":false,)"
+      R"("stalled":false,"latency_steps":{"count":2004,"min":153,"p50":591,)"
+      R"("p90":1215,"p99":1855,"p999":2431,"max":2466,"sum":1365717,)"
+      R"("digest":"1d56481c8076547d"},"per_shard":{"completed":[1103,1101],)"
+      R"("steps":[49216,48832]},"faults":{"windows":8,"plan_seed":77,)"
+      R"("retries":26,"failed":2,"completed_during":353,"completed_after":1816,)"
+      R"("recovered":true,"first_success_after":374,"recovery_latency":)"
+      R"({"count":1786,"p50":591,"p99":1855,"max":2466,)"
+      R"("digest":"ef02c380e04fe07b"},)"
+      R"("plan_digests":["e9fa9fb7d7f5fe58","e5539b51f37e34ed"]}})";
+  EXPECT_EQ(run_sharded(spec, 2, 2).deterministic_json(spec), recorded);
+}
+
 // Shard results fold through the same merge whatever grouping the caller
 // uses — merging per-shard results in index order equals merging a
 // two-level tree (the associativity the parallel fan relies on).
