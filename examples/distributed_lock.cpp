@@ -9,9 +9,9 @@
 // Build & run:  ./examples/distributed_lock [--n 3] [--rounds 5]
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <thread>
 
 #include "common/cli.hpp"
 #include "runtime/thread_runtime.hpp"
@@ -41,9 +41,11 @@ int main(int argc, char** argv) {
     core::MeOptions opts;
     opts.cs_length = 2;
     opts.cs_body = [&shared_counter, &grants] {
-      const long long observed = shared_counter;          // read
-      std::this_thread::sleep_for(std::chrono::microseconds(300));  // pause
-      shared_counter = observed + 1;                      // write
+      const long long observed = shared_counter;  // read
+      // pause: bounded busy work that widens the race window
+      volatile std::uint64_t sink = 0;
+      for (std::uint64_t i = 0; i < 200'000; ++i) sink = i;
+      shared_counter = observed + 1;  // write
       grants.fetch_add(1);
     };
     rt.add_process(

@@ -55,9 +55,9 @@ sim::Topology make_topology(const std::string& name, int n,
 // One in-flight logical request, from the driver's point of view. The seq
 // may be shared with other slots (coalesced submissions chain onto one
 // host session); each slot still gets its own completion callback. Under a
-// fault plan a request may span several attempts: `gen` stamps the current
-// attempt so callbacks and delivery matches from abandoned attempts are
-// recognized as stale, and `desc` is kept for resubmission.
+// fault plan a request may span several attempts of the same `desc`: `gen`
+// stamps the current attempt so callbacks from abandoned attempts are
+// recognized as stale.
 struct LiveSlot {
   std::uint64_t submit_step = 0;  // first attempt: latency spans retries
   std::uint64_t submit_wall = 0;  // record_wall only
@@ -65,9 +65,10 @@ struct LiveSlot {
   std::uint32_t seq = 0;
   std::uint32_t gen = 0;
   std::uint32_t attempts = 0;
+  std::uint32_t wire_seq = 0;  // ForwardMsg: keys the attempt in fwd_wait
   sim::ProcessId origin = -1;
   bool in_use = false;
-  svc::Descriptor desc;  // faulted runs only (retries resubmit it)
+  svc::Descriptor desc;
 };
 
 struct Driver {
@@ -86,8 +87,8 @@ struct Driver {
   std::uint64_t live = 0;
 
   // ForwardMsg end-to-end matching: (origin << 20 | wire_seq) ->
-  // (gen << 32 | slot); the gen is checked on match so a delivery for an
-  // abandoned attempt cannot complete the slot's current occupant.
+  // (gen << 32 | slot), one entry per live accepted attempt; an abandoned
+  // attempt's entry is erased with it, and the gen is checked on match.
   std::unordered_map<std::uint64_t, std::uint64_t> fwd_wait;
   std::vector<svc::ServiceHost::Delivery> scratch;
   bool any_forward = false;
@@ -165,31 +166,43 @@ struct Driver {
       free_slot(si);
       return;
     }
-    // Failed attempt: a ForwardMsg admission refusal (backpressure) or a
-    // session killed by a crash-restart window (admission stays Accepted).
-    if (r.admission != core::ForwardSubmit::Accepted) ++counters.refused;
-    if (!faults_on) {  // historic behavior: refusals are terminal
+    // Failed attempt. A ForwardMsg admission refusal is backpressure and
+    // ends the request; a session killed by a crash-restart window
+    // (admission stays Accepted) is retried.
+    if (r.admission != core::ForwardSubmit::Accepted) {
+      ++counters.refused;
       free_slot(si);
       return;
     }
     retry_or_fail(si);
   }
 
+  static std::uint64_t fwd_key(sim::ProcessId origin, std::uint32_t wire_seq) {
+    return (static_cast<std::uint64_t>(origin) << 20) | wire_seq;
+  }
+
+  // Abandons the slot's current (accepted) attempt and either launches the
+  // next one or, past the retry cap, gives the request up. The abandoned
+  // attempt's host record, if still live, is left to its ghost completion;
+  // the gen bump in launch() makes that completion stale on arrival.
   void retry_or_fail(std::uint32_t si) {
     LiveSlot& ls = slots[si];
-    if (ls.attempts > static_cast<std::uint32_t>(spec->fault_max_retries)) {
+    if (ls.desc.service == ServiceId::ForwardMsg)
+      fwd_wait.erase(fwd_key(ls.origin, ls.wire_seq));
+    if (ls.attempts > static_cast<std::uint32_t>(kFaultMaxRetries)) {
       ++counters.failed;
       free_slot(si);
       return;
     }
     ++counters.retries;
-    resubmit_slot(si);
+    launch(si);
   }
 
-  // Resubmits the slot's descriptor as a fresh attempt (faulted runs). The
-  // abandoned attempt's host record, if still live, is left to its ghost
-  // completion; the gen bump makes that completion stale on arrival.
-  void resubmit_slot(std::uint32_t si) {
+  // Submits the slot's descriptor as its next attempt. Returns false when
+  // the submission was refused at admission (ForwardMsg backpressure): the
+  // refusal fires the completion callback synchronously inside
+  // submit_desc, and that callback frees the slot without resubmitting.
+  bool launch(std::uint32_t si) {
     LiveSlot& ls = slots[si];
     ++ls.gen;
     ++ls.attempts;
@@ -203,24 +216,20 @@ struct Driver {
         });
     ++counters.submitted;
     if (s.coalesced) ++counters.coalesced;
-    // A synchronous refusal re-enters retry_or_fail inside submit_desc:
-    // by now the slot is free or carries a newer attempt — leave it alone.
-    if (!slots[si].in_use || slots[si].gen != gen) return;
-    slots[si].seq = s.key.seq;
+    if (!ls.in_use) return false;
+    ls.seq = s.key.seq;
     if (ls.desc.service == ServiceId::ForwardMsg) {
-      fwd_wait[(static_cast<std::uint64_t>(s.key.origin) << 20) |
-               s.wire_seq] = fwd_slot_token(si, gen);
+      any_forward = true;
+      ls.wire_seq = s.wire_seq;
+      fwd_wait[fwd_key(s.key.origin, s.wire_seq)] =
+          (static_cast<std::uint64_t>(gen) << 32) | si;
     }
-  }
-
-  static std::uint64_t fwd_slot_token(std::uint32_t si, std::uint32_t gen) {
-    return (static_cast<std::uint64_t>(gen) << 32) | si;
+    return true;
   }
 
   // Submits one session of the weighted mix from a fresh driver slot.
-  // Returns false when the submission was refused at admission (ForwardMsg
-  // backpressure) — the caller should stop submitting until the engine
-  // drains some hops.
+  // Returns false when it was refused at admission — the caller should
+  // stop submitting until the engine drains some hops.
   bool submit_one() {
     const ServiceId sid = pick_service();
     const int n = static_cast<int>(hosts.size());
@@ -248,40 +257,15 @@ struct Driver {
       si = static_cast<std::uint32_t>(slots.size());
       slots.emplace_back();
     }
-    // Fill the slot BEFORE submitting: a refused ForwardMsg admission
-    // fires the completion callback synchronously inside submit_desc.
     LiveSlot& ls = slots[si];
     ls.in_use = true;
     ls.origin = origin;
     ls.submit_step = sim->step_count();
     if (spec->record_wall) ls.submit_wall = now_ns();
-    ++ls.gen;  // invalidate any ghost callback of the slot's previous life
-    ls.attempts = 1;
-    if (faults_on) {
-      ls.desc = d;
-      ls.deadline = ls.submit_step + spec->fault_deadline;
-    }
-    const std::uint32_t gen = ls.gen;
+    ls.attempts = 0;
+    ls.desc = std::move(d);
     ++live;
-    const svc::Session s = client->submit_desc(
-        origin, d,
-        [this, si, gen](const svc::SessionKey& k,
-                        const svc::SessionResult& r) {
-          on_session_done(si, gen, k, r);
-        });
-    ++counters.submitted;
-    if (s.coalesced) ++counters.coalesced;
-    // Refused synchronously — and, under a fault plan, possibly already
-    // resubmitted as a newer attempt from inside the callback.
-    if (!slots[si].in_use || slots[si].gen != gen) return false;
-    slots[si].seq = s.key.seq;
-    if (fwd) {
-      any_forward = true;
-      fwd_wait.emplace((static_cast<std::uint64_t>(s.key.origin) << 20) |
-                           s.wire_seq,
-                       fwd_slot_token(si, gen));
-    }
-    return true;
+    return launch(si);
   }
 
   // The driver pump, run as the engine's stop predicate every check_every
@@ -296,8 +280,7 @@ struct Driver {
     if (any_forward) {
       for (svc::ServiceHost* h : hosts) h->take_deliveries(scratch);
       for (const svc::ServiceHost::Delivery& del : scratch) {
-        const auto it = fwd_wait.find(
-            (static_cast<std::uint64_t>(del.origin) << 20) | del.wire_seq);
+        const auto it = fwd_wait.find(fwd_key(del.origin, del.wire_seq));
         if (it == fwd_wait.end()) continue;  // released / foreign traffic
         const auto si = static_cast<std::uint32_t>(it->second & 0xFFFFFFFFu);
         const auto gen = static_cast<std::uint32_t>(it->second >> 32);

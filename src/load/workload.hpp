@@ -34,6 +34,9 @@
 
 namespace snapstab::load {
 
+// Resubmissions a faulted request gets after its first attempt.
+inline constexpr int kFaultMaxRetries = 8;
+
 struct WorkloadSpec {
   // World shape: "complete" | "ring" | "line" | "star" | "tree".
   std::string topology = "ring";
@@ -76,10 +79,10 @@ struct WorkloadSpec {
   // (faults.seed, shard derivation) against its own topology and polls a
   // fault::Injector from the driver pump.
   fault::FaultPlanSpec faults;
-  // Faulted sessions only: a session that fails (killed by a crash-restart,
-  // refused, or past its step deadline) is resubmitted with the SAME
-  // descriptor, up to this many retries; latency spans all attempts.
-  int fault_max_retries = 8;
+  // Faulted sessions only: an attempt killed by a crash-restart or past
+  // this step deadline is resubmitted with the SAME descriptor, up to
+  // kFaultMaxRetries times; latency spans all attempts. An admission
+  // refusal (ForwardMsg backpressure) is never resubmitted, in any mode.
   std::uint64_t fault_deadline = 20'000;  // per-attempt deadline, steps
 
   void set_weight(svc::ServiceId s, std::uint32_t w) {
@@ -94,7 +97,7 @@ struct WorkloadCounters {
   std::uint64_t refused = 0;    // ForwardMsg admissions refused
   std::uint64_t shed = 0;       // open-loop arrivals dropped at the cap
   // Faulted runs only (always zero otherwise):
-  std::uint64_t retries = 0;    // failed-attempt resubmissions
+  std::uint64_t retries = 0;    // killed/expired-attempt resubmissions
   std::uint64_t failed = 0;     // requests abandoned after the retry cap
 
   void merge(const WorkloadCounters& o) noexcept {

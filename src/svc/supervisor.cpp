@@ -19,18 +19,12 @@ Supervisor::Supervisor(Client& client, SuperviseOptions options)
   SNAPSTAB_CHECK_MSG(opts_.attempt_deadline >= 1,
                      "a zero attempt deadline expires every attempt at birth");
   SNAPSTAB_CHECK_MSG(opts_.retry_budget >= 0, "retry budget must be >= 0");
-  if (opts_.breaker.enabled) {
-    SNAPSTAB_CHECK_MSG(opts_.breaker.failure_threshold >= 1 &&
-                           opts_.breaker.probe_quota >= 1 &&
-                           opts_.breaker.close_threshold >= 1,
-                       "breaker thresholds must be >= 1");
-    SNAPSTAB_CHECK_MSG(opts_.breaker.probe_admit > 0.0,
-                       "probe_admit == 0 would hold HalfOpen forever");
-  }
+  if (opts_.breaker.enabled)
+    SNAPSTAB_CHECK_MSG(opts_.breaker.failure_threshold >= 1,
+                       "breaker failure threshold must be >= 1");
   if (opts_.hedge.enabled)
-    SNAPSTAB_CHECK_MSG(opts_.hedge.max_hedges >= 1 &&
-                           opts_.hedge.hedge_after >= 1,
-                       "hedging needs max_hedges >= 1 and hedge_after >= 1");
+    SNAPSTAB_CHECK_MSG(opts_.hedge.hedge_after >= 1,
+                       "hedging needs hedge_after >= 1");
 }
 
 std::uint64_t Supervisor::now() const {
@@ -47,8 +41,7 @@ std::uint64_t Supervisor::next_timer() const {
     if (rec.st == St::Backoff) next = std::min(next, rec.resume_at);
     if (rec.st != St::Flying) continue;
     next = std::min(next, rec.deadline);
-    if (opts_.hedge.enabled && !rec.hedge_live &&
-        rec.hedges < opts_.hedge.max_hedges)
+    if (opts_.hedge.enabled && !rec.hedged)
       next = std::min(next, rec.flying_since + opts_.hedge.hedge_after);
   }
   return next;
@@ -84,19 +77,17 @@ void Supervisor::launch(Rec& rec) {
   rec.deadline = t + opts_.attempt_deadline;
   rec.flying_since = t;
   rec.hedge_live = false;
-  rec.hedges = 0;
+  rec.hedged = false;
 }
 
 sim::ProcessId Supervisor::hedge_origin(const Rec& rec,
                                         std::size_t index) const {
-  if (!opts_.hedge.spray_origins) return rec.origin;
   const int n = client_->process_count();
   if (n < 2) return rec.origin;
   // Salt by the ticket index so concurrent hedges fan out across backups
   // instead of re-creating a hotspot on one designated host.
   sim::ProcessId target = static_cast<sim::ProcessId>(
-      (static_cast<std::size_t>(rec.origin) + 1 +
-       static_cast<std::size_t>(rec.hedges) + index) %
+      (static_cast<std::size_t>(rec.origin) + 1 + index) %
       static_cast<std::size_t>(n));
   if (target == rec.origin)
     target = static_cast<sim::ProcessId>((target + 1) % n);
@@ -112,8 +103,7 @@ bool Supervisor::admit(Rec& rec, std::uint64_t t) {
                        (t >= br.opened_at + opts_.breaker.open_cooldown),
                        true)) {
       br.state = BreakerState::HalfOpen;
-      br.probe_successes = 0;
-      br.probes_in_flight = 0;
+      br.probing = false;
     } else {
       // Short-circuit: hold until the cooldown elapses, no attempt spent.
       ++stats_.breaker_short_circuits;
@@ -123,12 +113,9 @@ bool Supervisor::admit(Rec& rec, std::uint64_t t) {
     }
   }
   if (br.state == BreakerState::HalfOpen) {
-    if (MUTATION_POINT("sup.probe.quota",
-                       (br.probes_in_flight < opts_.breaker.probe_quota),
-                       true) &&
-        rng_.chance(opts_.breaker.probe_admit)) {
+    if (MUTATION_POINT("sup.probe.quota", (!br.probing), true)) {
       rec.is_probe = true;
-      ++br.probes_in_flight;
+      br.probing = true;
       ++stats_.probes;
       return true;
     }
@@ -146,11 +133,8 @@ void Supervisor::breaker_note_success(Rec& rec) {
   br.consecutive_failures = 0;
   if (!rec.is_probe) return;
   rec.is_probe = false;
-  if (br.probes_in_flight > 0) --br.probes_in_flight;
-  if (br.state != BreakerState::HalfOpen) return;
-  ++br.probe_successes;
-  if (MUTATION_POINT("sup.probe.close",
-                     (br.probe_successes >= opts_.breaker.close_threshold),
+  br.probing = false;
+  if (MUTATION_POINT("sup.probe.close", (br.state == BreakerState::HalfOpen),
                      false))
     br.state = BreakerState::Closed;
 }
@@ -161,7 +145,7 @@ void Supervisor::breaker_note_failure(Rec& rec, std::uint64_t t) {
   if (rec.is_probe) {
     // One failed probe reopens the breaker: the service is still sick.
     rec.is_probe = false;
-    if (br.probes_in_flight > 0) --br.probes_in_flight;
+    br.probing = false;
     br.state = BreakerState::Open;
     br.opened_at = t;
     br.consecutive_failures = 0;
@@ -256,8 +240,7 @@ bool Supervisor::pump() {
         // A refused probe frees its slot without reopening the breaker:
         // backpressure is not service death.
         rec.is_probe = false;
-        Breaker& br = breaker_for(rec);
-        if (br.probes_in_flight > 0) --br.probes_in_flight;
+        breaker_for(rec).probing = false;
       }
       rec.last_was_deadline = false;
       fail_over(rec, t);
@@ -275,15 +258,14 @@ bool Supervisor::pump() {
       continue;
     }
     // Tail defense: back the slow primary up with a hedged resubmit.
-    if (opts_.hedge.enabled && !rec.hedge_live &&
-        rec.hedges < opts_.hedge.max_hedges &&
+    if (opts_.hedge.enabled && !rec.hedged &&
         MUTATION_POINT("sup.hedge.fire",
                        (t >= rec.flying_since + opts_.hedge.hedge_after),
                        true)) {
       rec.hedge_session =
           client_->submit_desc(hedge_origin(rec, i), rec.desc);
       rec.hedge_live = true;
-      ++rec.hedges;
+      rec.hedged = true;
       ++stats_.hedges_launched;
     }
   }
@@ -346,8 +328,7 @@ bool Supervisor::run_all(AwaitOptions opts) {
         for (Breaker& br : breakers_) {
           if (br.state != BreakerState::Open) continue;
           br.state = BreakerState::HalfOpen;
-          br.probe_successes = 0;
-          br.probes_in_flight = 0;
+          br.probing = false;
         }
       }
       if (!any_backoff)

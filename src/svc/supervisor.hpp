@@ -54,9 +54,8 @@ constexpr const char* session_outcome_name(SessionOutcome o) noexcept {
 // Circuit-breaker state for one service, the classic three-state machine:
 // Closed admits everything; `failure_threshold` consecutive non-refusal
 // failures trip it Open; Open short-circuits submissions (held, no attempt
-// consumed) until `open_cooldown` elapses; HalfOpen admits up to
-// `probe_quota` seeded probes, `close_threshold` probe successes close it,
-// one probe failure reopens it.
+// consumed) until `open_cooldown` elapses; HalfOpen admits one probe at a
+// time, one probe success closes it, one probe failure reopens it.
 enum class BreakerState : std::uint8_t { Closed, Open, HalfOpen };
 
 inline constexpr int kBreakerStateCount = 3;
@@ -78,22 +77,17 @@ struct BreakerOptions {
   bool enabled = false;
   int failure_threshold = 3;  // consecutive non-refusal failures to trip
   std::uint64_t open_cooldown = 2'000;  // clock units Open holds submissions
-  int probe_quota = 1;      // concurrent HalfOpen probes admitted
-  int close_threshold = 1;  // probe successes that close the breaker
-  double probe_admit = 1.0;  // per-pump admission chance for a probe slot
 };
 
 struct HedgeOptions {
   bool enabled = false;
-  // Launch a backup attempt once the primary has flown this long without a
-  // result (clock units); first terminal result wins, the loser is
-  // abandoned. Pick ~p99 of the healthy latency so hedges stay rare.
+  // Launch one backup attempt once the primary has flown this long without
+  // a result (clock units); first terminal result wins, the loser is
+  // abandoned. Pick ~p99 of the healthy latency so hedges stay rare. The
+  // backup goes out from a rotated origin (salted per ticket so concurrent
+  // hedges spread across backups), so a crashed or partitioned origin-side
+  // host doesn't doom both attempts.
   std::uint64_t hedge_after = 10'000;
-  int max_hedges = 1;  // backups per attempt
-  // Submit the backup from a rotated origin (salted per ticket so
-  // concurrent hedges spread across backups) so a crashed/partitioned
-  // origin-side host doesn't doom both attempts.
-  bool spray_origins = true;
 };
 
 struct SuperviseOptions {
@@ -181,7 +175,7 @@ class Supervisor {
     std::uint64_t resume_at = 0;  // Backoff: resubmit at this time
     std::uint64_t flying_since = 0;  // launch time of the current attempt
     int attempts = 0;
-    int hedges = 0;          // backups launched for the current attempt
+    bool hedged = false;      // the current attempt has had its backup
     bool hedge_live = false;  // hedge_session holds a flying backup
     bool is_probe = false;    // current attempt is a HalfOpen probe
     bool non_refusal_failure = false;  // saw a killed / failed attempt
@@ -192,8 +186,7 @@ class Supervisor {
   struct Breaker {
     BreakerState state = BreakerState::Closed;
     int consecutive_failures = 0;
-    int probe_successes = 0;
-    int probes_in_flight = 0;
+    bool probing = false;  // HalfOpen: the one probe is in flight
     std::uint64_t opened_at = 0;
   };
 

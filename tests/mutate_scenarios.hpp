@@ -713,7 +713,6 @@ inline Outcome run_spec_sup_probe() {
   so.breaker.enabled = true;
   so.breaker.failure_threshold = 1;
   so.breaker.open_cooldown = 50'000;
-  so.breaker.probe_quota = 1;
   svc::Supervisor sup(client, so);
   const auto t1 = sup.supervise(0, svc::PifBroadcast{Value::integer(7)});
   const auto t2 = sup.supervise(1, svc::PifBroadcast{Value::integer(8)});
@@ -746,7 +745,7 @@ inline Outcome run_spec_sup_probe() {
 
 // Hedging: a healthy request under a huge hedge budget must launch zero
 // backups (kills sup.hedge.fire, whose mutant fires at the first pump); a
-// tiny budget launches exactly max_hedges.
+// tiny budget launches exactly one.
 inline Outcome run_spec_sup_hedge() {
   Outcome out;
   Check ck(out);
@@ -776,7 +775,6 @@ inline Outcome run_spec_sup_hedge() {
     svc::SuperviseOptions so;
     so.hedge.enabled = true;
     so.hedge.hedge_after = 1;  // fires on the first pump past launch
-    so.hedge.max_hedges = 1;
     svc::Supervisor sup(client, so);
     const auto t = sup.supervise(0, svc::PifBroadcast{Value::integer(6)});
     svc::AwaitOptions aw;

@@ -267,6 +267,32 @@ TEST(LoadSharding, FaultedClosedLoopMatchesRecordedJson) {
   EXPECT_EQ(run_sharded(spec, 2, 2).deterministic_json(spec), recorded);
 }
 
+// A ForwardMsg admission refusal is buffer backpressure, not a fault: it
+// ends the request under a fault plan exactly as it does without one. A
+// forward-heavy load far above the hop buffers under one loss window must
+// count refusals but retry none of them and fail none (the deadline is out
+// of reach, and a loss window kills no session).
+TEST(LoadSharding, FaultedRefusalsEndTheRequestWithoutRetry) {
+  WorkloadSpec spec;
+  spec.topology = "ring";
+  spec.n = 16;
+  spec.set_weight(svc::ServiceId::PifBroadcast, 1);
+  spec.set_weight(svc::ServiceId::ForwardMsg, 3);
+  spec.concurrency = 1024;
+  spec.warmup = 100;
+  spec.measure = 2000;
+  spec.fault_deadline = 1'000'000'000;
+  spec.faults.horizon = 2'000;
+  spec.faults.min_len = 50;
+  spec.faults.max_len = 100;
+  spec.faults.loss_windows = 1;
+  const LoadReport r = run_sharded(spec, 2, 2);
+  EXPECT_GT(r.total.counters.refused, 0u);
+  EXPECT_EQ(r.total.counters.retries, 0u);
+  EXPECT_EQ(r.total.counters.failed, 0u);
+  EXPECT_GE(r.total.counters.completed, spec.warmup + spec.measure);
+}
+
 // Shard results fold through the same merge whatever grouping the caller
 // uses — merging per-shard results in index order equals merging a
 // two-level tree (the associativity the parallel fan relies on).

@@ -437,7 +437,6 @@ TEST(SvcBreaker, ProbeQuotaAdmitsExactlyOneWhileHalfOpen) {
   so.breaker.enabled = true;
   so.breaker.failure_threshold = 1;
   so.breaker.open_cooldown = 50'000;
-  so.breaker.probe_quota = 1;
   Supervisor sup(client, so);
   const auto t1 = sup.supervise(0, PifBroadcast{Value::integer(7)});
   const auto t2 = sup.supervise(1, PifBroadcast{Value::integer(8)});
@@ -543,13 +542,12 @@ TEST(SvcHedge, BackupLaunchesAfterTheLatencyBudgetAndFirstTerminalWins) {
   SuperviseOptions so;
   so.hedge.enabled = true;
   so.hedge.hedge_after = 1;  // fires on the first pump past launch
-  so.hedge.max_hedges = 1;
   Supervisor sup(client, so);
   const auto t = sup.supervise(0, PifBroadcast{Value::integer(6)});
   AwaitOptions aw;
   aw.policy.check_every = 1;
   ASSERT_TRUE(sup.run_all(aw));
-  // Exactly one backup launched (max_hedges caps it even though the budget
+  // Exactly one backup launched (one per attempt, even though the budget
   // keeps elapsing), the first terminal result won, and the ticket settled
   // once — no double completion.
   EXPECT_EQ(sup.outcome(t), SessionOutcome::Ok);
