@@ -93,7 +93,7 @@ void Forward::deliver(sim::Context& ctx, const Item& item) {
   delivered_ += MUTATION_POINT("fwd.deliver.uncounted", 1, 0);
   ctx.observe(sim::Layer::Service, sim::ObsKind::FwdDeliver, origin,
               item.payload);
-  if (on_deliver_) on_deliver_(h, item.payload);
+  if (on_deliver_) on_deliver_(ctx, h, item.payload);
 }
 
 void Forward::tick(sim::Context& ctx) {

@@ -113,10 +113,12 @@ class Forward {
 
   // Optional delivery hook: called for every payload delivered *here*
   // (genuine and ghost alike), after the FwdDeliver observation, with the
-  // unpacked routing header. The svc::ServiceHost uses it to record
-  // (origin, seq, payload) for end-to-end session completion.
+  // unpacked routing header and the delivering step's context. The
+  // svc::ServiceHost uses it to record (origin, seq, payload) for
+  // end-to-end session completion.
   void set_on_deliver(
-      std::function<void(const FwdHeader&, const Value&)> hook) {
+      std::function<void(sim::Context&, const FwdHeader&, const Value&)>
+          hook) {
     on_deliver_ = std::move(hook);
   }
 
@@ -174,7 +176,8 @@ class Forward {
   std::shared_ptr<const sim::RoutingTable> routes_;
   Options options_;
   std::int32_t flag_bound_;
-  std::function<void(const FwdHeader&, const Value&)> on_deliver_;
+  std::function<void(sim::Context&, const FwdHeader&, const Value&)>
+      on_deliver_;
 
   std::vector<OutLink> out_;        // sender role, one per local index
   std::vector<std::int32_t> racc_;  // receiver role, one per local index

@@ -82,6 +82,13 @@ class Context final {
   // only by observers; protocol determinism is required for replay).
   std::uint64_t now() const;
 
+  // Marks this step as one that may satisfy a progress-gated stop predicate
+  // (StopPolicy::on_progress): svc's ServiceHost calls it when a session
+  // completes or a forward delivery is recorded. Bound to a Simulator it
+  // sets one flag; on a ContextBackend it does nothing (the live runtimes
+  // re-check their predicate after every activation anyway).
+  void progress();
+
  private:
   Simulator* sim_ = nullptr;
   ProcessId self_ = -1;

@@ -207,17 +207,23 @@ Simulator::StopReason Simulator::run_loop(
     Step step;
     if (!sched.next_step(*this, step)) return StopReason::Quiescent;
     execute_step(step);
-    if (--until_check == 0) {
+    if (policy.on_progress) {
+      if (!progress_) continue;
+      progress_ = false;  // before stop(): a check may raise it for the next
+    } else if (--until_check != 0) {
+      continue;
+    } else {
       until_check = every;
-      if (stop(*this)) return StopReason::Predicate;
-      // Stop predicates may mutate process state (e.g. submit the next
-      // request once the previous one decided), and they hold plain
-      // references to the processes — no dirty flag can observe that. The
-      // O(n) re-read per check is the price of an exact index under
-      // predicate-driven runs; predicate-free runs stay on the O(log n)
-      // path, and StopPolicy::check_every amortizes it for bulk runs.
-      reconcile_enabled_index();
     }
+    if (stop(*this)) return StopReason::Predicate;
+    // Stop predicates may mutate process state (e.g. submit the next
+    // request once the previous one decided), and they hold plain
+    // references to the processes — no dirty flag can observe that. The
+    // O(n) re-read per check is the price of an exact index under
+    // predicate-driven runs; predicate-free runs stay on the O(log n)
+    // path, and StopPolicy amortizes it: check_every for bulk runs,
+    // on_progress for session awaits.
+    reconcile_enabled_index();
   }
   return StopReason::BudgetExhausted;
 }
@@ -239,6 +245,7 @@ Simulator::StopReason Simulator::run(
   // Process state may have been mutated since the last step (new requests,
   // fuzzed variables, adversary strikes) — resynchronize the index once.
   reconcile_enabled_index();
+  progress_ = false;
   if (stop) {
     if (stop(*this)) return StopReason::Predicate;
     reconcile_enabled_index();

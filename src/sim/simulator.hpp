@@ -68,8 +68,17 @@ struct Activation {
 // trial budgets) can raise check_every to amortize both costs; the run may
 // then overshoot the predicate's first holding point by up to
 // check_every - 1 steps. 0 is treated as 1.
+//
+// on_progress replaces the cadence with an event: the predicate runs only
+// after a step whose acting process called Context::progress() (or when the
+// previous check itself called it), and check_every is ignored. It is exact
+// — not an approximation — for a predicate whose answer can flip only on
+// such steps, as svc::Client::await_all's session poll does: it stops on the
+// same step as check_every = 1 and skips the checks and reconciles of every
+// step in between.
 struct StopPolicy {
   std::uint64_t check_every = 1;
+  bool on_progress = false;
 };
 
 class Simulator final : private NetworkListener {
@@ -185,6 +194,8 @@ class Simulator final : private NetworkListener {
   std::vector<char> deliverable_bit_;
   std::vector<char> busy_bit_;
 
+  bool progress_ = false;  // set by Context::progress(), read by run_loop
+
   bool recording_ = false;
   std::vector<std::vector<Activation>> recorded_activations_;
   std::vector<std::vector<Message>> recorded_deliveries_;  // per EdgeId
@@ -234,6 +245,10 @@ inline Rng& Context::rng() {
 inline std::uint64_t Context::now() const {
   if (sim_ != nullptr) return sim_->metrics_.steps;
   return backend_->now();
+}
+
+inline void Context::progress() {
+  if (sim_ != nullptr) sim_->progress_ = true;
 }
 
 inline bool RandomScheduler::next_step(Simulator& sim, Step& out) {

@@ -1,6 +1,8 @@
 #include "sim/timeline.hpp"
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "common/table.hpp"
 
@@ -20,9 +22,12 @@ std::string render_timeline(const ObservationLog& log,
       continue;
     }
     ++rows;
-    table.add_row({TextTable::cell(e.step),
-                   "p" + std::to_string(e.process), layer_name(e.layer),
-                   obs_kind_name(e.kind),
+    // Appended, not "p" + std::to_string(...): GCC 12 reports a false
+    // -Wrestrict on const char* + std::string&& at -O3.
+    std::string process(1, 'p');
+    process += std::to_string(e.process);
+    table.add_row({TextTable::cell(e.step), std::move(process),
+                   layer_name(e.layer), obs_kind_name(e.kind),
                    e.peer < 0 ? "-" : std::to_string(e.peer),
                    e.value.to_string()});
   }

@@ -87,9 +87,13 @@ bool Client::poll_all(const std::vector<Session>& sessions) {
 AwaitResult Client::await_all(const std::vector<Session>& sessions,
                               AwaitOptions opts) {
   if (sim_ != nullptr) {
-    // The stop predicate runs after every step (per opts.policy): resolve
-    // each session's host(s) once up front so the hot loop is a phase check
-    // per live session, not a dynamic_cast per step.
+    // An awaited session can turn Done only on a step where its host
+    // completes it or records its forward delivery, and the host marks
+    // exactly those steps with Context::progress(). So the stop predicate
+    // runs after those steps only (StopPolicy::on_progress) and stops on
+    // the same step as a check after every step would. Each session's
+    // host(s) are resolved once up front: a check is a phase read per live
+    // session, not a dynamic_cast.
     struct Slot {
       const Session* s = nullptr;
       ServiceHost* origin = nullptr;
@@ -106,7 +110,7 @@ AwaitResult Client::await_all(const std::vector<Session>& sessions,
         slot.dst = &sim_->process_as<ServiceHost>(s.dst);
       slots.push_back(slot);
     }
-    const auto poll = [&slots] {
+    const auto poll = [this, &slots] {
       bool all = true;
       for (Slot& slot : slots) {
         if (slot.done) continue;
@@ -116,6 +120,9 @@ AwaitResult Client::await_all(const std::vector<Session>& sessions,
             slot.dst->consume_delivery(s.key.origin, s.wire_seq, s.payload)) {
           slot.origin->finish_forward(s.key.seq);
           st = SessionState::Done;
+          // Its completion callback may have changed sessions this poll
+          // already passed: check again after the next step.
+          sim::Context(*sim_, s.key.origin).progress();
         }
         if (st == SessionState::Done)
           slot.done = true;
@@ -127,7 +134,7 @@ AwaitResult Client::await_all(const std::vector<Session>& sessions,
     if (poll()) return AwaitResult::Done;
     const sim::Simulator::StopReason reason = sim_->run(
         opts.max_steps, [&poll](sim::Simulator&) { return poll(); },
-        opts.policy);
+        sim::StopPolicy{.on_progress = true});
     if (poll()) return AwaitResult::Done;
     // Quiescent with sessions incomplete: no step is enabled, so no amount
     // of budget can finish the batch (a stranded session — e.g. one whose

@@ -15,9 +15,12 @@
 //
 // Backend notes:
 //   * Simulator: await_all drives the sealed step loop (sim.run with a
-//     session-completion stop predicate; StopPolicy{check_every} amortizes
-//     the check for bulk runs). Everything is deterministic and adds no RNG
-//     draws — a session-driven world replays bit-identically.
+//     session-completion stop predicate that stops on session progress:
+//     it runs only after a step on which a host completed a session or
+//     recorded a forward delivery — StopPolicy{on_progress} — and so stops
+//     on exactly the step a per-step check would). Everything is
+//     deterministic and adds no RNG draws — a session-driven world replays
+//     bit-identically.
 //   * live::Runtime: submissions lock the target node; await_all checks
 //     the batch once, then maps onto Runtime::run with the same completion
 //     predicate, which re-checks it after every node activation (no timer
@@ -57,7 +60,9 @@ struct Session {
 struct AwaitOptions {
   std::uint64_t max_steps = 10'000'000;     // Simulator step budget
   std::chrono::milliseconds timeout{30'000};  // live runtime wall budget
-  sim::StopPolicy policy{};                 // Simulator check cadence
+  // Simulator cadence of svc::Supervisor::run_all's pump (its stop
+  // predicate). await_all does not read it: it stops on session progress.
+  sim::StopPolicy policy{};
 };
 
 // Terminal answer of a batch await. `BudgetExhausted` means more budget
@@ -108,7 +113,8 @@ class Client {
 
   // Batch-await with a terminal reason: runs the backend until every
   // session is Done, the budget runs out, or the runtime can no longer make
-  // progress. Simulator: deterministic, stop checked per `policy`. Live:
+  // progress. Simulator: deterministic, stop checked after each step that
+  // made session progress (`opts.policy` is not read). Live:
   // wall-clock bounded; a shut-down runtime is polled once.
   AwaitResult await_all(const std::vector<Session>& sessions,
                         AwaitOptions opts = {});

@@ -65,9 +65,12 @@ ServiceHost::ServiceHost(HostConfig config) : cfg_(std::move(config)) {
     fwd_ = std::make_unique<core::Forward>(cfg_.self, cfg_.degree,
                                            cfg_.routes, cfg_.forward_options);
     // Every delivery is recorded: the client matches it back to the
-    // origin's session (consume_delivery / take_deliveries).
-    fwd_->set_on_deliver([this](const FwdHeader& h, const Value& payload) {
+    // origin's session (consume_delivery / take_deliveries), so this step
+    // may finish an awaited ForwardMsg session.
+    fwd_->set_on_deliver([this](sim::Context& ctx, const FwdHeader& h,
+                                const Value& payload) {
       deliveries_.push_back(Delivery{h.origin, h.seq & 0xFFFFFu, payload});
+      ctx.progress();
     });
   }
   SNAPSTAB_CHECK_MSG(pif_ != nullptr || fwd_ != nullptr,
@@ -264,6 +267,7 @@ void ServiceHost::poll_sessions(sim::Context& ctx) {
       stack_active_ = -1;  // released mid-flight
     } else if (layer_state(rec->desc.service) == core::RequestState::Done) {
       stack_active_ = -1;
+      ctx.progress();
       complete(*rec);
     }
   }

@@ -250,8 +250,9 @@ class ServiceHost : public sim::Process {
   std::vector<SessionRec> slots_;
   std::vector<std::uint32_t> free_;             // free slot indices, LIFO
   std::unordered_map<std::uint32_t, std::uint32_t> by_seq_;  // seq -> slot
-  // One-entry find() cache: an awaiting client polls the same seq once per
-  // stop-predicate check, which must not pay a hash lookup per engine step.
+  // One-entry find() cache: poll_sessions looks up the active session at
+  // the end of every activation, which must not pay a hash lookup per
+  // engine step (an awaiting client's session_state polls hit it too).
   // Validated against slots_[cache_slot_].seq and invalidated on release
   // (a freed slot resets to seq 0, which is a real session id).
   mutable std::uint32_t cache_seq_ = kNoSession;

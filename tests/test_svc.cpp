@@ -19,6 +19,7 @@
 #include "live_transports.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timeline.hpp"
 #include "svc/client.hpp"
 #include "svc/supervisor.hpp"
 
@@ -378,6 +379,90 @@ TEST(SvcAwait, RefusedForwardSessionIsDoneNotAwaitedForever) {
   const SessionResult r = client.result(s);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.admission, ForwardSubmit::NoRoute);
+}
+
+// await_all checks its sessions only after steps that made session
+// progress. That must be exact: it stops on the very step a poll of every
+// session after every step stops on, with the identical execution.
+std::unique_ptr<Simulator> mixed_ring_world(std::uint64_t seed) {
+  auto sim = service_world(
+      sim::Topology::ring(6), 1, seed,
+      [](sim::ProcessId p) {
+        HostConfig cfg;
+        cfg.id = 40 + p;
+        cfg.with_election = true;
+        cfg.with_snapshot = true;
+        cfg.local_state = [p] { return Value::integer(p); };
+        return cfg;
+      },
+      /*with_forward=*/true);
+  sim->set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
+  return sim;
+}
+
+// Submits the awaited batch, stamping the step each of its sessions
+// completes on, plus sessions nobody awaits that keep host 0 busy: the
+// world is still running when the batch completes, so an await that missed
+// the completing step would run on instead of ending at a quiescent world.
+std::vector<Session> submit_mixed_batch(Client& client,
+                                        std::vector<std::uint64_t>& done_at) {
+  done_at.assign(5, 0);
+  Simulator& sim = *client.simulator();
+  const auto stamp = [&done_at, &sim](std::size_t i) {
+    return [&done_at, &sim, i](const SessionKey&, const SessionResult&) {
+      done_at[i] = sim.step_count();
+    };
+  };
+  std::vector<Session> batch;
+  batch.push_back(client.submit(0, PifBroadcast{Value::integer(7)}, stamp(0)));
+  batch.push_back(client.submit(1, Election{}, stamp(1)));
+  batch.push_back(client.submit(4, Snapshot{}, stamp(2)));
+  batch.push_back(client.submit(5, PifBroadcast{Value::integer(8)}, stamp(3)));
+  batch.push_back(
+      client.submit(2, ForwardMsg{4, Value::integer(9)}, stamp(4)));
+  client.submit(0, Snapshot{});
+  client.submit(0, Election{});
+  client.submit(0, Snapshot{});
+  return batch;
+}
+
+TEST(SvcAwait, ProgressGatedAwaitStopsWhereAPerStepPollStops) {
+  const sim::TimelineOptions whole{.max_rows = 1'000'000};
+  int forward_last = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    auto gated = mixed_ring_world(seed);
+    Client gated_client(*gated);
+    std::vector<std::uint64_t> done_at;
+    const std::vector<Session> batch =
+        submit_mixed_batch(gated_client, done_at);
+    ASSERT_TRUE(batch.back().accepted());
+    ASSERT_EQ(gated_client.await_all(batch), AwaitResult::Done);
+    if (done_at[4] == gated->step_count()) ++forward_last;
+
+    auto reference = mixed_ring_world(seed);
+    Client ref_client(*reference);
+    std::vector<std::uint64_t> ref_done_at;
+    const std::vector<Session> ref_batch =
+        submit_mixed_batch(ref_client, ref_done_at);
+    const auto poll_every_session = [&](Simulator&) {
+      bool all = true;
+      for (const Session& s : ref_batch)
+        if (!ref_client.done(s)) all = false;
+      return all;
+    };
+    ASSERT_EQ(reference->run(10'000'000, poll_every_session,
+                             sim::StopPolicy{.check_every = 1}),
+              Simulator::StopReason::Predicate);
+
+    EXPECT_EQ(gated->step_count(), reference->step_count());
+    EXPECT_EQ(done_at, ref_done_at);
+    EXPECT_EQ(sim::render_timeline(gated->log(), whole),
+              sim::render_timeline(reference->log(), whole));
+  }
+  // The forward delivery step must itself end the await in some seed, or
+  // the test would not pin that a recorded delivery counts as progress.
+  EXPECT_GT(forward_last, 0);
 }
 
 // ---------------------------------------------------------------------------
