@@ -113,9 +113,9 @@ SweepResult part2_sweep() {
           bool decided = false;
           std::size_t seen_events = 0;
           for (int step = 0; step < 20'000 && !decided; ++step) {
-            auto next = scheduler.next(*world);
-            if (!next.has_value()) break;
-            world->execute(*next);
+            sim::Step next;
+            if (!scheduler.next_step(*world, next)) break;
+            world->execute(next);
             const auto& events = world->log().events();
             for (; seen_events < events.size(); ++seen_events) {
               const auto& e = events[seen_events];

@@ -6,9 +6,11 @@
 //     enabled step in O(log n) with no allocation, where the pre-refactor
 //     scheduler rescanned every channel — O(n²) on the complete graph —
 //     and allocated the candidate vectors on every step. A faithful
-//     reimplementation of the scanning scheduler (LegacyRandomScheduler
-//     below) runs the *same* step sequence for the same seed, so the
-//     steps/sec ratio isolates the selection cost.
+//     reimplementation of the scanning scheduler (legacy_next below, driven
+//     by hand through Simulator::execute) runs the *same* step sequence for
+//     the same seed, so the steps/sec ratio isolates the selection cost —
+//     and the run fails unless both engines agree on steps and deliveries,
+//     the one cross-check of the index against an independent scan.
 //
 //  2. Reach. The protocols only speak local channel indices, so PIF runs
 //     unmodified on every built-in topology; one computation per shape is
@@ -31,30 +33,27 @@ using sim::Topology;
 // The seed's RandomScheduler, verbatim: rescan tickable processes and
 // non-empty channels each step, filter busy receivers, pick uniformly.
 // Identical RNG consumption and candidate order as both the historic code
-// and the incremental engine — only the selection cost differs.
-class LegacyRandomScheduler final : public sim::Scheduler {
- public:
-  explicit LegacyRandomScheduler(std::uint64_t seed) : rng_(seed) {}
-
-  std::optional<Step> next(Simulator& sim) override {
-    std::vector<ProcessId> ticks;
-    for (ProcessId p = 0; p < sim.process_count(); ++p)
-      if (sim.process(p).tick_enabled()) ticks.push_back(p);
-    auto chans = sim.network().nonempty_channels();
-    std::erase_if(chans, [&](const auto& pr) {
-      return sim.process(pr.second).busy();
-    });
-    const std::size_t total = ticks.size() + chans.size();
-    if (total == 0) return std::nullopt;
-    const auto pick = rng_.below(total);
-    if (pick < ticks.size()) return Step::tick(ticks[pick]);
+// and the incremental engine — only the selection cost differs. False on
+// quiescence.
+bool legacy_next(Simulator& sim, Rng& rng, Step& out) {
+  std::vector<ProcessId> ticks;
+  for (ProcessId p = 0; p < sim.process_count(); ++p)
+    if (sim.process(p).tick_enabled()) ticks.push_back(p);
+  auto chans = sim.network().nonempty_channels();
+  std::erase_if(chans, [&](const auto& pr) {
+    return sim.process(pr.second).busy();
+  });
+  const std::size_t total = ticks.size() + chans.size();
+  if (total == 0) return false;
+  const auto pick = rng.below(total);
+  if (pick < ticks.size()) {
+    out = Step::tick(ticks[pick]);
+  } else {
     const auto [src, dst] = chans[pick - ticks.size()];
-    return Step::deliver(src, dst);
+    out = Step::deliver(src, dst);
   }
-
- private:
-  Rng rng_;
-};
+  return true;
+}
 
 // A sustained synthetic workload: every process is always tick-enabled and
 // pings a random incident channel, so the candidate sets stay large and
@@ -73,6 +72,7 @@ class PingProcess final : public sim::Process {
 
 struct Throughput {
   double steps_per_sec = 0;
+  std::uint64_t steps = 0;
   std::uint64_t deliveries = 0;
 };
 
@@ -82,17 +82,21 @@ Throughput drive(Topology topo, std::uint64_t seed, std::uint64_t steps,
   Simulator world(std::move(topo), /*capacity=*/1, seed);
   for (int p = 0; p < n; ++p)
     world.add_process(std::make_unique<PingProcess>());
-  if (legacy)
-    world.set_scheduler(std::make_unique<LegacyRandomScheduler>(seed));
-  else
-    world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
 
   const auto t0 = std::chrono::steady_clock::now();
-  world.run(steps);
+  if (legacy) {
+    Rng rng(seed);
+    Step step;
+    for (std::uint64_t i = 0; i < steps && legacy_next(world, rng, step); ++i)
+      world.execute(step);
+  } else {
+    world.set_scheduler(std::make_unique<sim::RandomScheduler>(seed));
+    world.run(steps);
+  }
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   return {static_cast<double>(world.metrics().steps) / secs,
-          world.metrics().deliveries};
+          world.metrics().steps, world.metrics().deliveries};
 }
 
 }  // namespace
@@ -113,22 +117,20 @@ int main(int argc, char** argv) {
 
   // --- claim 1: selection cost on the complete graph ---
   TextTable speed({"topology", "scheduler", "steps/sec", "deliveries"});
-  double incremental_rate = 0;
-  double legacy_rate = 0;
+  Throughput incremental;
+  Throughput legacy_scan;
   for (const bool legacy : {true, false}) {
     const auto r = drive(sim::Topology::complete(n), seed, steps, legacy);
-    if (legacy)
-      legacy_rate = r.steps_per_sec;
-    else
-      incremental_rate = r.steps_per_sec;
+    (legacy ? legacy_scan : incremental) = r;
     char name[64];
     std::snprintf(name, sizeof name, "complete(%d)", n);
     speed.add_row({name, legacy ? "legacy scan" : "incremental",
                    TextTable::cell(r.steps_per_sec, 0),
                    TextTable::cell(static_cast<double>(r.deliveries), 0)});
   }
-  // Same seed ⇒ same executions; deliveries must agree between engines.
   speed.print();
+  const double incremental_rate = incremental.steps_per_sec;
+  const double legacy_rate = legacy_scan.steps_per_sec;
   std::printf("speedup: %.1fx\n\n", incremental_rate / legacy_rate);
 
   // --- claim 2: PIF to decision on every shape, one trial per worker ---
@@ -182,6 +184,10 @@ int main(int argc, char** argv) {
   }
   reach.print();
 
+  // Same seed ⇒ same executions: the scan and the index must agree.
+  verdict(legacy_scan.steps == incremental.steps &&
+              legacy_scan.deliveries == incremental.deliveries,
+          "legacy scan and incremental index agree on steps and deliveries");
   verdict(incremental_rate > legacy_rate,
           "incremental enabled-step index beats the scanning scheduler on "
           "complete(n)");

@@ -1,13 +1,14 @@
 // rankset.hpp — a branchless order-statistics set over a bitmap.
 //
 // Backs the simulator's enabled-step index: an order-statistics set
-// (reset / count / add ±1 / kth) whose cost model is tuned for the sealed
-// step loop's access pattern:
+// (reset / count / contains / set / kth) whose cost model is tuned for the
+// sealed step loop's access pattern:
 //
-//   add  — O(1): one bit flip plus two count increments. The index flips a
-//          membership bit on every channel empty↔nonempty transition (twice
-//          per message at capacity 1), so this beats a Fenwick tree's
-//          O(log n) cascade where it hurts most.
+//   set  — O(1): one bit test, then at most one bit flip plus two count
+//          updates. The set is the single owner of membership, so callers
+//          just state it; the index sets a member on every channel
+//          empty↔nonempty transition (twice per message at capacity 1),
+//          where this beats a Fenwick tree's O(log n) cascade.
 //   kth  — a popcount prefix scan over 512-bit groups, then over the ≤ 8
 //          words of one group, then a 6-level binary search inside one
 //          word. Every level is mask arithmetic: the rank k is effectively
@@ -54,16 +55,17 @@ class RankSet {
   int universe() const noexcept { return n_; }
   int count() const noexcept { return count_; }
 
-  // Adds `delta` (+1 insert, -1 erase) at item i. The caller tracks
-  // membership; the bit state is checked, so double inserts trap instead
-  // of corrupting the counts.
-  void add(int i, int delta) {
+  bool contains(int i) const {
     SNAPSTAB_CHECK(i >= 0 && i < n_);
-    SNAPSTAB_CHECK(delta == 1 || delta == -1);
+    return ((words_[static_cast<std::size_t>(i) >> 6] >> (i & 63)) & 1) != 0;
+  }
+
+  // Makes item i a member or not; setting the current state is a no-op.
+  void set(int i, bool member) {
+    if (contains(i) == member) return;
     const std::size_t w = static_cast<std::size_t>(i) >> 6;
-    const std::uint64_t bit = 1ull << (i & 63);
-    SNAPSTAB_CHECK(((words_[w] & bit) != 0) == (delta < 0));
-    words_[w] ^= bit;
+    const int delta = member ? 1 : -1;
+    words_[w] ^= 1ull << (i & 63);
     group_count_[w >> kGroupShift] += delta;
     count_ += delta;
   }

@@ -32,7 +32,7 @@ namespace snapstab::sim {
 class ChannelListener {
  public:
   virtual ~ChannelListener() = default;
-  // `tag` identifies the channel (Network binds the channel's EdgeId).
+  // `tag` identifies the channel (the Simulator binds the channel's EdgeId).
   virtual void channel_transition(int tag, bool nonempty) = 0;
 };
 

@@ -9,9 +9,6 @@ Network::Network(Topology topology, std::size_t capacity)
   const int edges = topology_.edge_count();
   channels_.reserve(static_cast<std::size_t>(edges));
   for (int e = 0; e < edges; ++e) channels_.emplace_back(capacity_);
-  for (int e = 0; e < edges; ++e)
-    channels_[static_cast<std::size_t>(e)].bind_listener(this, e);
-  nonempty_.assign(static_cast<std::size_t>(edges), 0);
 }
 
 Network::Network(int process_count, std::size_t capacity)
@@ -25,18 +22,11 @@ const Channel& Network::channel(ProcessId src, ProcessId dst) const {
   return channels_[static_cast<std::size_t>(topology_.edge_between(src, dst))];
 }
 
-void Network::channel_transition(int tag, bool nonempty) {
-  nonempty_[static_cast<std::size_t>(tag)] = nonempty ? 1 : 0;
-  nonempty_count_ += nonempty ? 1 : -1;
-  if (listener_ != nullptr) listener_->edge_occupancy_changed(tag, nonempty);
-}
-
 std::vector<std::pair<ProcessId, ProcessId>> Network::nonempty_channels()
     const {
   std::vector<std::pair<ProcessId, ProcessId>> out;
-  out.reserve(static_cast<std::size_t>(nonempty_count_));
   for (EdgeId e = 0; e < edge_count(); ++e)
-    if (nonempty_[static_cast<std::size_t>(e)] != 0)
+    if (edge_nonempty(e))
       out.emplace_back(topology_.edge_src(e), topology_.edge_dst(e));
   return out;
 }

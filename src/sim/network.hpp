@@ -9,10 +9,9 @@
 //     index_of(p, r) = (r - p - 1 + n) mod n
 // so complete-topology executions are unchanged.
 //
-// The Network also maintains an exact set of non-empty edges, fed by the
-// channels' transition hooks, and republishes transitions to an optional
-// NetworkListener — the Simulator subscribes to keep its enabled-step index
-// incremental instead of rescanning all channels per step.
+// Occupancy is read straight from the channels; the Network keeps no copy
+// of it. The Simulator binds itself as every channel's transition listener
+// to keep its enabled-step index incremental.
 #ifndef SNAPSTAB_SIM_NETWORK_HPP
 #define SNAPSTAB_SIM_NETWORK_HPP
 
@@ -25,14 +24,7 @@
 
 namespace snapstab::sim {
 
-// Observes edge occupancy changes (exact, per directed edge).
-class NetworkListener {
- public:
-  virtual ~NetworkListener() = default;
-  virtual void edge_occupancy_changed(EdgeId e, bool nonempty) = 0;
-};
-
-class Network final : private ChannelListener {
+class Network final {
  public:
   // `capacity` applies to every channel; Channel::kUnbounded (0) gives the
   // unbounded channels of the impossibility section.
@@ -69,12 +61,7 @@ class Network final : private ChannelListener {
     return topology_.index_of(p, peer);
   }
 
-  // Exact occupancy, maintained through the channel transition hooks.
-  bool edge_nonempty(EdgeId e) const {
-    SNAPSTAB_CHECK(e >= 0 && e < edge_count());
-    return nonempty_[static_cast<std::size_t>(e)] != 0;
-  }
-  int nonempty_edge_count() const noexcept { return nonempty_count_; }
+  bool edge_nonempty(EdgeId e) const { return !edge_channel(e).empty(); }
 
   // All (src, dst) pairs with a non-empty channel, in ascending (src, dst)
   // order (the deterministic order the scanning schedulers relied on).
@@ -87,20 +74,10 @@ class Network final : private ChannelListener {
   // in `dropped` (exact loss accounting, see exp_pif's loss section).
   Channel::Stats aggregate_channel_stats() const;
 
-  // At most one listener; the Simulator installs itself.
-  void set_listener(NetworkListener* listener) noexcept {
-    listener_ = listener;
-  }
-
  private:
-  void channel_transition(int tag, bool nonempty) override;
-
   Topology topology_;
   std::size_t capacity_;
   std::vector<Channel> channels_;  // one per directed edge, canonical order
-  std::vector<char> nonempty_;
-  int nonempty_count_ = 0;
-  NetworkListener* listener_ = nullptr;
 };
 
 }  // namespace snapstab::sim

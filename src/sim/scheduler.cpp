@@ -20,12 +20,6 @@ int& LossStreaks::streak(Simulator& sim, int edge) {
 RandomScheduler::RandomScheduler(std::uint64_t seed, LossOptions loss)
     : Scheduler(SchedulerKind::Random), rng_(seed), loss_(loss) {}
 
-std::optional<Step> RandomScheduler::next(Simulator& sim) {
-  Step step;
-  if (!next_step(sim, step)) return std::nullopt;
-  return step;
-}
-
 RoundRobinScheduler::RoundRobinScheduler(std::uint64_t seed, LossOptions loss)
     : Scheduler(SchedulerKind::RoundRobin), rng_(seed), loss_(loss) {}
 
@@ -50,18 +44,6 @@ void RoundRobinScheduler::refill(Simulator& sim) {
     }
   }
   if (!pending_.empty()) ++rounds_;
-}
-
-std::optional<Step> RoundRobinScheduler::next(Simulator& sim) {
-  Step step;
-  if (!next_step(sim, step)) return std::nullopt;
-  return step;
-}
-
-std::optional<Step> ScriptedScheduler::next(Simulator& sim) {
-  Step step;
-  if (!next_step(sim, step)) return std::nullopt;
-  return step;
 }
 
 }  // namespace snapstab::sim

@@ -22,17 +22,16 @@
 // consumption are exactly those of the scanning implementation, so
 // executions are bit-identical for the same (code, seed, configuration).
 //
-// Sealed dispatch: the three built-in schedulers are `final` and carry a
-// SchedulerKind tag. Simulator::run switches on the tag and drives their
-// non-virtual `next_step` fast paths (plain Step + bool, no optional, fully
-// inlined — bodies at the bottom of sim/simulator.hpp); external Scheduler
-// subclasses report SchedulerKind::Generic and run through the virtual
-// `next`, which is required to produce the identical step sequence.
+// Sealed dispatch: the schedulers are a closed set. Each is `final` and
+// carries a SchedulerKind tag; Simulator::run switches on the tag and drives
+// its non-virtual `next_step` fast path (plain Step + bool, fully inlined —
+// bodies at the bottom of sim/simulator.hpp). A new scheduler is a new
+// SchedulerKind plus a case in Simulator::run; a one-off step order is
+// driven by hand through Simulator::execute.
 #ifndef SNAPSTAB_SIM_SCHEDULER_HPP
 #define SNAPSTAB_SIM_SCHEDULER_HPP
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -78,9 +77,8 @@ struct Step {
   }
 };
 
-// Type tag for the sealed fast paths; external subclasses are Generic.
+// Type tag for the sealed fast paths, one per scheduler.
 enum class SchedulerKind : std::uint8_t {
-  Generic,
   Random,
   RoundRobin,
   Scripted,
@@ -89,18 +87,13 @@ enum class SchedulerKind : std::uint8_t {
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
-  // Chooses the next step; nullopt when no step is enabled (quiescence) or,
-  // for scripted schedules, when the script is exhausted.
-  virtual std::optional<Step> next(Simulator& sim) = 0;
-
   SchedulerKind kind() const noexcept { return kind_; }
 
  protected:
-  Scheduler() noexcept = default;  // external subclasses: Generic
   explicit Scheduler(SchedulerKind kind) noexcept : kind_(kind) {}
 
  private:
-  SchedulerKind kind_ = SchedulerKind::Generic;
+  SchedulerKind kind_;
 };
 
 struct LossOptions {
@@ -126,11 +119,9 @@ class LossStreaks {
 class RandomScheduler final : public Scheduler {
  public:
   explicit RandomScheduler(std::uint64_t seed, LossOptions loss = {});
-  std::optional<Step> next(Simulator& sim) override;
 
   // Sealed fast path: writes the chosen step to `out`, false on quiescence.
-  // Same step sequence and RNG consumption as next(); body inline in
-  // sim/simulator.hpp.
+  // Body inline in sim/simulator.hpp.
   bool next_step(Simulator& sim, Step& out);
 
  private:
@@ -142,7 +133,6 @@ class RandomScheduler final : public Scheduler {
 class RoundRobinScheduler final : public Scheduler {
  public:
   explicit RoundRobinScheduler(std::uint64_t seed, LossOptions loss = {});
-  std::optional<Step> next(Simulator& sim) override;
 
   // Sealed fast path; see RandomScheduler::next_step.
   bool next_step(Simulator& sim, Step& out);
@@ -166,9 +156,9 @@ class ScriptedScheduler final : public Scheduler {
  public:
   explicit ScriptedScheduler(std::vector<Step> script)
       : Scheduler(SchedulerKind::Scripted), script_(std::move(script)) {}
-  std::optional<Step> next(Simulator& sim) override;
 
-  // Sealed fast path; needs no simulator state.
+  // Sealed fast path, false once the script is exhausted; needs no
+  // simulator state.
   bool next_step(Simulator&, Step& out) noexcept {
     if (pos_ >= script_.size()) return false;
     out = script_[pos_++];

@@ -13,19 +13,6 @@ std::uint64_t next_instance_id() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-// Adapts an external (SchedulerKind::Generic) scheduler to the sealed step
-// loop: one virtual next() per step plus the optional unwrap — exactly the
-// historic cost, kept as the compatibility fallback.
-struct VirtualSchedulerAdapter {
-  Scheduler& inner;
-  bool next_step(Simulator& sim, Step& out) {
-    auto step = inner.next(sim);
-    if (!step.has_value()) return false;
-    out = *step;
-    return true;
-  }
-};
-
 }  // namespace
 
 Simulator::Simulator(Topology topology, std::size_t channel_capacity,
@@ -42,10 +29,9 @@ Simulator::Simulator(Topology topology, std::size_t channel_capacity,
 
   tick_set_.reset(n);
   deliverable_set_.reset(network_.edge_count());
-  tick_bit_.assign(static_cast<std::size_t>(n), 0);
-  deliverable_bit_.assign(static_cast<std::size_t>(network_.edge_count()), 0);
   busy_bit_.assign(static_cast<std::size_t>(n), 0);
-  network_.set_listener(this);
+  for (EdgeId e = 0; e < network_.edge_count(); ++e)
+    network_.edge_channel(e).bind_listener(this, e);
 }
 
 Simulator::Simulator(int process_count, std::size_t channel_capacity,
@@ -75,31 +61,21 @@ void Simulator::set_scheduler(std::unique_ptr<Scheduler> s) {
   scheduler_ = std::move(s);
 }
 
-void Simulator::edge_occupancy_changed(EdgeId e, bool) {
-  refresh_deliverable(e);
+void Simulator::channel_transition(int tag, bool) {
+  refresh_deliverable(tag);
 }
 
 void Simulator::refresh_deliverable(EdgeId e) {
   const ProcessId dst = network_.topology().edge_dst(e);
-  const bool deliverable =
-      network_.edge_nonempty(e) && busy_bit_[static_cast<std::size_t>(dst)] == 0;
-  char& bit = deliverable_bit_[static_cast<std::size_t>(e)];
-  if (deliverable != (bit != 0)) {
-    bit = deliverable ? 1 : 0;
-    deliverable_set_.add(e, deliverable ? 1 : -1);
-  }
+  deliverable_set_.set(e, network_.edge_nonempty(e) &&
+                              busy_bit_[static_cast<std::size_t>(dst)] == 0);
 }
 
 void Simulator::refresh_process(ProcessId p) {
   // Uninstalled processes are neither tickable nor busy.
   const bool installed = static_cast<std::size_t>(p) < processes_.size();
-  const bool tickable = installed && processes_[static_cast<std::size_t>(p)]
-                                         ->tick_enabled();
-  char& tick = tick_bit_[static_cast<std::size_t>(p)];
-  if (tickable != (tick != 0)) {
-    tick = tickable ? 1 : 0;
-    tick_set_.add(p, tickable ? 1 : -1);
-  }
+  tick_set_.set(p, installed && processes_[static_cast<std::size_t>(p)]
+                                    ->tick_enabled());
 
   const bool busy = installed && processes_[static_cast<std::size_t>(p)]->busy();
   char& busy_bit = busy_bit_[static_cast<std::size_t>(p)];
@@ -251,7 +227,7 @@ Simulator::StopReason Simulator::run(
     reconcile_enabled_index();
   }
   // Seal the loop on the installed scheduler's concrete type: non-virtual
-  // next_step, no optional, steps delivered with their EdgeId attached.
+  // next_step, steps delivered with their EdgeId attached.
   switch (scheduler_->kind()) {
     case SchedulerKind::Random:
       return run_loop(static_cast<RandomScheduler&>(*scheduler_), max_steps,
@@ -260,13 +236,10 @@ Simulator::StopReason Simulator::run(
       return run_loop(static_cast<RoundRobinScheduler&>(*scheduler_),
                       max_steps, stop, policy);
     case SchedulerKind::Scripted:
-      return run_loop(static_cast<ScriptedScheduler&>(*scheduler_), max_steps,
-                      stop, policy);
-    case SchedulerKind::Generic:
       break;
   }
-  VirtualSchedulerAdapter generic{*scheduler_};
-  return run_loop(generic, max_steps, stop, policy);
+  return run_loop(static_cast<ScriptedScheduler&>(*scheduler_), max_steps,
+                  stop, policy);
 }
 
 void Simulator::enable_recording() {

@@ -9,9 +9,10 @@
 // a scheduler chooses from — the tick-enabled processes and the deliverable
 // edges (non-empty channel, receiver not busy in its CS) — as bitmap-backed
 // order-statistics sets (common/rankset.hpp: O(1) membership flips,
-// branchless popcount-scan selection). Channel occupancy is fed by the
-// network's transition hooks (exact under arbitrary channel mutation);
-// process predicates (tick_enabled, busy) are re-read after each executed
+// branchless popcount-scan selection). The simulator binds itself as every
+// channel's transition listener, so occupancy reaches the index straight
+// from the channels (exact under arbitrary channel mutation); process
+// predicates (tick_enabled, busy) are re-read after each executed
 // step for the acting process, and reconciled in bulk at run() start and
 // after each stop-predicate call (stop predicates are allowed to mutate
 // process state, e.g. submit new requests). Schedulers therefore pick a
@@ -25,10 +26,9 @@
 //
 // Sealed step loop: run() switches once on the installed scheduler's
 // SchedulerKind and drives the non-virtual next_step fast path of the three
-// built-in schedulers; the per-step Context is concrete and fully inlined.
-// External Scheduler subclasses (SchedulerKind::Generic) take the virtual
-// next() fallback, which must produce the identical step sequence — the
-// sealing changes the cost of a step, never its outcome.
+// built-in schedulers, a closed set; the per-step Context is concrete and
+// fully inlined. Code that needs its own step order drives execute() by
+// hand.
 #ifndef SNAPSTAB_SIM_SIMULATOR_HPP
 #define SNAPSTAB_SIM_SIMULATOR_HPP
 
@@ -81,7 +81,7 @@ struct StopPolicy {
   bool on_progress = false;
 };
 
-class Simulator final : private NetworkListener {
+class Simulator final : private ChannelListener {
  public:
   Simulator(Topology topology, std::size_t channel_capacity,
             std::uint64_t seed);
@@ -158,7 +158,8 @@ class Simulator final : private NetworkListener {
  private:
   friend class Context;  // the sim backend inlines straight into the engine
 
-  void edge_occupancy_changed(EdgeId e, bool nonempty) override;
+  // Channel `tag` (its EdgeId) flipped between empty and non-empty.
+  void channel_transition(int tag, bool nonempty) override;
   // Re-reads tick_enabled()/busy() for one process and fixes the index.
   void refresh_process(ProcessId p);
   void refresh_deliverable(EdgeId e);
@@ -190,9 +191,7 @@ class Simulator final : private NetworkListener {
   // Enabled-step index.
   RankSet tick_set_;         // processes with tick_enabled()
   RankSet deliverable_set_;  // edges: non-empty ∧ receiver not busy
-  std::vector<char> tick_bit_;
-  std::vector<char> deliverable_bit_;
-  std::vector<char> busy_bit_;
+  std::vector<char> busy_bit_;  // last busy() seen, to detect busy flips
 
   bool progress_ = false;  // set by Context::progress(), read by run_loop
 

@@ -1,12 +1,10 @@
-// test_sealed_dispatch.cpp — the sealed step loop is a cost change, not a
-// behavior change.
+// test_sealed_dispatch.cpp — the sealed step loop and the index behind it.
 //
 // Simulator::run drives non-virtual next_step fast paths for the three
-// built-in schedulers (SchedulerKind tags). A wrapper Scheduler subclass
-// reports SchedulerKind::Generic and forces the virtual fallback; for the
-// same (seed, topology, workload) both paths must produce bit-identical
-// traces. Also covers the StopPolicy cadence knob and the RankSet
-// order-statistics set backing the enabled-step index.
+// schedulers, a closed set told apart by SchedulerKind tags; the traces they
+// produce are pinned by tests/golden/ and test_equivalence. Covered here:
+// the kind tags, the Step edge cache, the StopPolicy cadence knob and the
+// RankSet order-statistics set backing the enabled-step index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,72 +17,11 @@
 namespace snapstab {
 namespace {
 
-// Forces the generic (virtual next, optional<Step>) fallback around any
-// scheduler: the default Scheduler constructor tags it Generic.
-class VirtualWrapper final : public sim::Scheduler {
- public:
-  explicit VirtualWrapper(std::unique_ptr<sim::Scheduler> inner)
-      : inner_(std::move(inner)) {}
-  std::optional<sim::Step> next(sim::Simulator& sim) override {
-    return inner_->next(sim);
-  }
-
- private:
-  std::unique_ptr<sim::Scheduler> inner_;
-};
-
 TEST(SealedDispatch, KindTags) {
   EXPECT_EQ(sim::RandomScheduler(1).kind(), sim::SchedulerKind::Random);
   EXPECT_EQ(sim::RoundRobinScheduler(1).kind(),
             sim::SchedulerKind::RoundRobin);
   EXPECT_EQ(sim::ScriptedScheduler({}).kind(), sim::SchedulerKind::Scripted);
-  VirtualWrapper wrapper(std::make_unique<sim::RandomScheduler>(1));
-  EXPECT_EQ(wrapper.kind(), sim::SchedulerKind::Generic);
-}
-
-// Runs the golden PIF broadcast world under a scheduler built by `make`,
-// sealed or wrapped, and renders the full trace.
-template <typename MakeScheduler>
-std::string pif_trace(MakeScheduler&& make, bool wrap) {
-  auto sim = golden::pif_world(4, 1, /*seed=*/7);
-  for (int p = 0; p < 4; ++p)
-    sim->process_as<svc::ServiceHost>(p).pif().request(Value::integer(100 + p));
-  std::unique_ptr<sim::Scheduler> sched = make();
-  if (wrap) sched = std::make_unique<VirtualWrapper>(std::move(sched));
-  sim->set_scheduler(std::move(sched));
-  sim->run(200'000, golden::all_pif_done);
-  return golden::render(*sim);
-}
-
-TEST(SealedDispatch, RandomSealedMatchesVirtualFallback) {
-  const auto make = [] { return std::make_unique<sim::RandomScheduler>(7); };
-  EXPECT_EQ(pif_trace(make, /*wrap=*/false), pif_trace(make, /*wrap=*/true));
-}
-
-TEST(SealedDispatch, RandomWithLossSealedMatchesVirtualFallback) {
-  // Loss exercises the lose_on fast path and the fair-loss streaks.
-  const auto make = [] {
-    return std::make_unique<sim::RandomScheduler>(
-        11, sim::LossOptions{.rate = 0.3, .max_consecutive = 5});
-  };
-  EXPECT_EQ(pif_trace(make, /*wrap=*/false), pif_trace(make, /*wrap=*/true));
-}
-
-TEST(SealedDispatch, RoundRobinSealedMatchesVirtualFallback) {
-  const auto make = [] {
-    return std::make_unique<sim::RoundRobinScheduler>(3);
-  };
-  EXPECT_EQ(pif_trace(make, /*wrap=*/false), pif_trace(make, /*wrap=*/true));
-}
-
-TEST(SealedDispatch, ScriptedSealedMatchesVirtualFallback) {
-  const std::vector<sim::Step> script = {
-      sim::Step::tick(0), sim::Step::tick(1), sim::Step::deliver(0, 1),
-      sim::Step::deliver(1, 0), sim::Step::tick(0)};
-  const auto make = [&script] {
-    return std::make_unique<sim::ScriptedScheduler>(script);
-  };
-  EXPECT_EQ(pif_trace(make, /*wrap=*/false), pif_trace(make, /*wrap=*/true));
 }
 
 // Steps produced by user code carry no EdgeId (edge = -1, resolved via
@@ -155,14 +92,23 @@ TEST(RankSet, CountAndSelect) {
   RankSet set;
   set.reset(10);
   EXPECT_EQ(set.count(), 0);
-  for (int i : {7, 2, 9, 0}) set.add(i, 1);
+  for (int i : {7, 2, 9, 0}) set.set(i, true);
   EXPECT_EQ(set.count(), 4);
+  EXPECT_TRUE(set.contains(7));
+  EXPECT_FALSE(set.contains(3));
   EXPECT_EQ(set.kth(0), 0);
   EXPECT_EQ(set.kth(1), 2);
   EXPECT_EQ(set.kth(2), 7);
   EXPECT_EQ(set.kth(3), 9);
-  set.add(2, -1);
+  set.set(2, false);
   EXPECT_EQ(set.count(), 3);
+  EXPECT_FALSE(set.contains(2));
+  EXPECT_EQ(set.kth(1), 7);
+  // set() states membership: repeating the current state changes nothing.
+  set.set(7, true);
+  set.set(2, false);
+  EXPECT_EQ(set.count(), 3);
+  EXPECT_TRUE(set.contains(7));
   EXPECT_EQ(set.kth(1), 7);
 }
 
@@ -185,9 +131,12 @@ TEST(RankSet, AgreesWithALinearScanUnderChurn) {
     for (int round = 0; round < 2000; ++round) {
       const int i = static_cast<int>(
           rng.below(static_cast<std::uint64_t>(universe)));
-      const int delta = member[static_cast<std::size_t>(i)] ? -1 : 1;
-      member[static_cast<std::size_t>(i)] ^= 1;
-      rank.add(i, delta);
+      // Every fourth round re-states the current membership, which must be
+      // a no-op; the others flip it.
+      const bool flip = round % 4 != 0;
+      member[static_cast<std::size_t>(i)] ^= flip ? 1 : 0;
+      rank.set(i, member[static_cast<std::size_t>(i)] != 0);
+      ASSERT_EQ(rank.contains(i), member[static_cast<std::size_t>(i)] != 0);
       const int count = static_cast<int>(
           std::count(member.begin(), member.end(), char{1}));
       ASSERT_EQ(rank.count(), count);
